@@ -30,21 +30,22 @@ def cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_BYTES, MEMORY_CAP_BYTES))
 
 
-#: CPUs this process may use before :func:`pin_client` narrows them.
-ALLOWED_CPUS = tuple(sorted(os.sched_getaffinity(0)))
+#: The one CPU every benchmark process runs on.  Client and server
+#: share it: on a 2-vCPU virtual machine a wake-up across vCPUs added
+#: 0.1 to 0.7 ms to each round trip, depending on the host's load at
+#: the time, while on one CPU the round trip is the program's own
+#: work.  Both sides wait for each other (every loop is closed), so
+#: they seldom compete for it.
+BENCH_CPU = min(os.sched_getaffinity(0))
 
 
-def pin_client() -> None:
-    """Pin this (client) process to the first allowed CPU, leaving the
-    second to the server, so every run places the two sides alike."""
-    if len(ALLOWED_CPUS) >= 2:
-        os.sched_setaffinity(0, {ALLOWED_CPUS[0]})
+def pin_cpu() -> None:
+    os.sched_setaffinity(0, {BENCH_CPU})
 
 
 def _server_preexec() -> None:
     cap_memory()
-    if len(ALLOWED_CPUS) >= 2:
-        os.sched_setaffinity(0, {ALLOWED_CPUS[1]})
+    pin_cpu()
 
 
 def check_deadline(deadline: float) -> None:

@@ -216,7 +216,7 @@ def main(argv: list[str]) -> int:
         return 2
     deadline = time.monotonic() + RUN_LIMIT_S
     harness.cap_memory()
-    harness.pin_client()
+    harness.pin_cpu()
     workload = WORKLOADS[args.workload](
         args.seed, args.seconds, tiny=args.tiny, tamper=args.tamper_oracle
     )

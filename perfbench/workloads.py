@@ -98,14 +98,16 @@ class SolveTcp:
     E10-shaped workflows (2-in/2-out modules over domain 3, targets 2
     and 3 alternating); workflow ``w`` uses module seeds ``base_w +
     index``.  The run cycles through ``WORKFLOWS`` distinct workflows,
-    so after the first pass the server's kernels are warm and its
-    kernel count stops growing: each solve is its ~800 warm round
-    trips, and the median does not sit on a latency slope that every
-    earlier unit steepens.
+    so the server's kernel count stays bounded.  Before timing, one
+    batch sweeps every module of every workflow, so the server holds
+    all their kernels and entries: each timed solve is its ~800 warm
+    round trips.  Without it the first pass through the workflows ran
+    on a slope, each solve slower than the last as kernels were added,
+    and where the median fell on that slope varied from run to run.
     """
 
     name = "solve_tcp"
-    RATE = 2.4
+    RATE = 0.8
     WORKFLOWS = 8
 
     def __init__(self, seed: int, seconds: int, *, tiny: bool, tamper: bool) -> None:
@@ -123,21 +125,31 @@ class SolveTcp:
         pass
 
     def warm(self, coordinators) -> None:
-        pass
+        (coordinator,) = coordinators
+        coordinator.gammas(
+            [
+                request
+                for base in sorted(set(self.bases))
+                for relation in self.relations(base)
+                for request in sweep_requests(relation.structure_signature)
+            ]
+        )
+
+    def relations(self, base: int) -> list:
+        from repro.privacy.relations import ModuleRelation
+
+        return [
+            ModuleRelation.random(
+                f"E10M{index}", n_inputs=2, n_outputs=2, domain_size=3, seed=base + index
+            )
+            for index in range(self.modules)
+        ]
 
     def requirements(self, base: int):
-        from repro.privacy.relations import ModuleRelation
         from repro.privacy.workflow_privacy import WorkflowPrivacyRequirements
 
         requirements = WorkflowPrivacyRequirements()
-        for index in range(self.modules):
-            relation = ModuleRelation.random(
-                f"E10M{index}",
-                n_inputs=2,
-                n_outputs=2,
-                domain_size=3,
-                seed=base + index,
-            )
+        for index, relation in enumerate(self.relations(base)):
             requirements.add(relation, 2 + index % 2)
         return requirements
 
@@ -186,43 +198,67 @@ class SolveTcp:
 # sweep_cold
 # ---------------------------------------------------------------------- #
 class SweepCold:
-    """Full visibility sweeps over freshly seeded large relations.
+    """Full visibility sweeps over large relations the server has never seen.
 
-    Unit ``i`` generates a new ``scaled_structure`` (5-in/2-out, domain
-    6, 2% noise) that the server has never seen, so it is shipped with
-    the sweep's one batch and every kernel entry is computed cold.
+    The run draws ``BASES`` ``scaled_structure`` relations (5-in/2-out,
+    domain 6, 2% noise) from the seed and computes their oracles once,
+    in ``prepare``.  Unit ``i`` sweeps a copy of one of them with its
+    rows rotated by a seeded offset, no two units by the same one.  Row
+    order is part of a structure's signature, so every copy is shipped
+    with the sweep's one batch, its signature is computed in the timed
+    unit, and every kernel entry is computed cold; a relation's Gammas
+    do not depend on its row order, so the copy's Gammas must equal
+    its base's oracle.  Generating a relation and its oracle costs
+    about twice the sweep itself, so drawing a few and rotating them
+    lets a run time several times more sweeps.  Two sweeps before
+    timing fill the server's cache to its budget, so every timed sweep
+    evicts the entries of an earlier one.
     """
 
     name = "sweep_cold"
-    RATE = 1.2
+    RATE = 1.4
     ROWS = 200_000
+    BASES = 4
+    WARM_UNITS = 2
 
     def __init__(self, seed: int, seconds: int, *, tiny: bool, tamper: bool) -> None:
         rng = random.Random(f"sweep_cold/{seed}")
         self.rows = 2_000 if tiny else self.ROWS
+        bases = 1 if tiny else self.BASES
         units = 2 if tiny else max(2, round(self.RATE * seconds))
-        self.seeds = [rng.randrange(1, 10**9) for _ in range(units)]
+        self.base_seeds = [rng.randrange(1, 10**9) for _ in range(bases)]
+        offsets = rng.sample(range(1, self.rows), self.WARM_UNITS + units)
+        self.units = [(index % bases, offset) for index, offset in enumerate(offsets)]
         self.tamper = tamper
 
     clients = [{}]
     server_options: dict = {}
 
     def prepare(self, workdir: str) -> None:
-        pass
+        self.bases = [scaled_structure(self.rows, seed) for seed in self.base_seeds]
+        self.expected = []
+        self.floor_ms = []
+        for base in self.bases:
+            gammas, floor_ms = local_gammas(sweep_requests(base))
+            self.expected.append(gammas)
+            self.floor_ms.append(floor_ms)
+
+    def requests(self, base: int, offset: int) -> list[tuple]:
+        return sweep_requests(rotated_rows(self.bases[base], offset))
 
     def warm(self, coordinators) -> None:
-        pass
-
+        (coordinator,) = coordinators
+        for base, offset in self.units[: self.WARM_UNITS]:
+            coordinator.gammas(self.requests(base, offset))
 
     def measure(self, coordinators, deadline: float) -> Outcome:
         (coordinator,) = coordinators
         errors = _service_errors()
         outcome = Outcome()
-        for unit, seed in enumerate(self.seeds):
+        for unit, (base, offset) in enumerate(self.units[self.WARM_UNITS :]):
             harness.check_deadline(deadline)
-            requests = sweep_requests(scaled_structure(self.rows, seed))
-            expected, floor_ms = local_gammas(requests)
-            outcome.floor_ms.append(floor_ms)
+            requests = self.requests(base, offset)
+            expected = self.expected[base]
             if self.tamper and unit == 0:
                 expected = [expected[0] + 1] + expected[1:]
             error = gammas = None
@@ -237,10 +273,26 @@ class SweepCold:
             outcome.cpu_ms += harness.cpu_ms() - cpu_before
             if gammas is not None and gammas != expected:
                 outcome.mismatches.append(
-                    f"sweep {unit} (seed {seed}): Gammas differ from the "
-                    "in-process oracle"
+                    f"sweep {unit} (base seed {self.base_seeds[base]}, rows "
+                    f"rotated by {offset}): Gammas differ from the in-process oracle"
                 )
+        outcome.floor_ms = self.floor_ms
         return outcome
+
+
+def rotated_rows(structure, offset: int):
+    """``structure`` with its rows rotated: row ``offset`` comes first."""
+    from repro.privacy.kernel_registry import RelationStructure
+
+    def rotate(column: tuple[int, ...]) -> tuple[int, ...]:
+        return column[offset:] + column[:offset]
+
+    return RelationStructure(
+        input_domain_sizes=structure.input_domain_sizes,
+        output_domain_sizes=structure.output_domain_sizes,
+        input_columns=tuple(map(rotate, structure.input_columns)),
+        output_columns=tuple(map(rotate, structure.output_columns)),
+    )
 
 
 # ---------------------------------------------------------------------- #

@@ -15,13 +15,10 @@ Three contracts from ISSUE 3:
 
 And one from ISSUE 4:
 
-* **pipelined dispatch** -- a deep secure-view search over the socket
-  transport with ``pipeline_depth`` k >= 4 must beat per-node dispatch
-  (k = 1): speculation hides the per-node round trip.  Like strong
-  scaling, the speedup needs spare cores (on one core the speculative
-  batches still compete with the client for CPU), so the assertion is
-  enforced on >= 4-CPU machines and reported on smaller ones; result
-  equality against the in-process oracle is asserted everywhere.
+* **deep search** -- a deep secure-view search over the socket
+  transport returns the in-process oracle's view, and its per-solve
+  Gamma memo keeps the dispatched batches within the number of
+  distinct requests the search asks for.
 
 And one from ISSUE 5:
 
@@ -148,57 +145,49 @@ def test_service_warm_start_skips_cold_work(benchmark):
         shutil.rmtree(snapshot_dir, ignore_errors=True)
 
 
-def test_service_pipelined_dispatch_deep_search(benchmark):
-    """Pipelined (k=4) secure-view search over a socket beats per-node dispatch.
+def test_service_deep_search(benchmark):
+    """A deep secure-view search over a unix socket against a warm server.
 
-    One warm server, two searches: ``pipeline_depth=1`` (one round trip
-    per search node) versus ``pipeline_depth=4`` (top-4 frontier nodes
-    speculatively in flight).  Equality with the local oracle is
-    asserted unconditionally; the speedup only on >= 4 cores.
+    The solver's per-solve Gamma memo sends each distinct request once,
+    so the dispatched batches are bounded by the distinct requests the
+    search asks for, however many nodes it visits.  Equality with the
+    local oracle is asserted on every round.
     """
     config = E10Config(modules=3, seed=83)
     oracle = exact_secure_view(build_requirements(config))
-    socket_dir = tempfile.mkdtemp(prefix="bench-pipeline-")
+    socket_dir = tempfile.mkdtemp(prefix="bench-search-")
     try:
         with GammaServer(("unix", os.path.join(socket_dir, "bench.sock"))) as server:
 
-            def search(depth: int):
-                with ShardCoordinator(address=server.address) as client:
-                    started = time.perf_counter()
-                    result = exact_secure_view(
-                        build_requirements(config),
-                        service=client,
-                        pipeline_depth=depth,
-                    )
-                    return result, time.perf_counter() - started
+            def search():
+                requirements = build_requirements(config)
+                keys: set[tuple] = set()
+                build = requirements.gamma_requests
 
-            # Warm the server's kernels once so both depths measure
-            # dispatch, not cold partition work.
-            search(1)
-            sequential, sequential_elapsed = search(1)
-            pipelined = benchmark.pedantic(
-                lambda: search(4), rounds=3, iterations=1
-            )
-            result, pipelined_elapsed = pipelined
-            for candidate in (sequential, result):
-                assert candidate.hidden_labels == oracle.hidden_labels
-                assert candidate.cost == oracle.cost
-                assert candidate.evaluations == oracle.evaluations
-            cores = os.cpu_count() or 1
-            speedup = (
-                sequential_elapsed / pipelined_elapsed if pipelined_elapsed else 0.0
-            )
-            print()
-            print(
-                f"pipelined dispatch: depth 1 {sequential_elapsed * 1000:.1f} ms -> "
-                f"depth 4 {pipelined_elapsed * 1000:.1f} ms "
-                f"({speedup:.2f}x, {cores} cores)"
-            )
-            if cores >= 4:
-                assert speedup >= 1.0, (
-                    f"expected pipelining to beat per-node dispatch on "
-                    f"{cores} cores, got {speedup:.2f}x"
+                def recording(hidden_labels, indices):
+                    requests = build(hidden_labels, indices)
+                    keys.update(
+                        (structure.signature, visible_inputs, visible_outputs)
+                        for structure, visible_inputs, visible_outputs in requests
+                    )
+                    return requests
+
+                requirements.gamma_requests = recording
+                with ShardCoordinator(address=server.address) as client:
+                    result = exact_secure_view(requirements, service=client)
+                    batches = client.service_stats()["batches"]
+                assert result.hidden_labels == oracle.hidden_labels
+                assert result.cost == oracle.cost
+                assert result.evaluations == oracle.evaluations
+                assert 0 < batches <= len(keys), (
+                    f"{batches} batches for {len(keys)} distinct requests"
                 )
+                return result
+
+            # Warm the server's kernels once so the rounds measure the
+            # search and its dispatch, not cold partition work.
+            search()
+            benchmark.pedantic(search, rounds=3, iterations=1)
     finally:
         shutil.rmtree(socket_dir, ignore_errors=True)
 

@@ -38,9 +38,9 @@ BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
 
 #: Substrings selecting the guarded benchmarks: the Gamma-kernel and
 #: adversary hot paths, plus (since PR 3) the keyword-search/storage
-#: query ops and the evaluation service -- which since PR 4 includes
-#: the pipelined-dispatch deep-search op
-#: (``test_service_pipelined_dispatch_deep_search``) and the sampled
+#: query ops and the evaluation service -- which includes the
+#: secure-view deep-search op over a socket
+#: (``test_service_deep_search``) -- and the sampled
 #: approximate-Gamma estimator ops (``approx``).  Markers are
 #: chosen to match the query/service benchmarks but not the figure-layer
 #: ones (e.g. ``keyword_search`` matches E5 and the gallery search, not

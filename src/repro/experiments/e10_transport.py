@@ -1,27 +1,22 @@
-"""Experiment E10 -- transports and pipelining for secure-view search.
+"""Experiment E10 -- transports for secure-view search.
 
 PR 3 measured the sharded service on flat Gamma sweeps (E9); this
-experiment measures what the paper's *secure-view search* -- a deep
-best-first branch-and-bound whose every node used to pay one service
-round trip -- gains from the two PR 4 mechanisms:
+experiment runs the paper's *secure-view search* -- a deep best-first
+branch-and-bound -- against every transport behind the
+:class:`~repro.service.transport.Transport` interface: the in-process
+oracle (``workers=0``), the multiprocess worker pool, and a standalone
+:class:`~repro.service.server.GammaServer` over unix and TCP sockets.
+Results are byte-identical by contract: every row is checked against
+the local-kernel oracle.
 
-* **transport abstraction** -- the same exact solver runs against the
-  in-process oracle (``workers=0``), the multiprocess worker pool, and
-  a standalone :class:`~repro.service.server.GammaServer` over unix and
-  TCP sockets, byte-identical by contract (every row is checked against
-  the local-kernel oracle);
-* **pipelined frontier evaluation** -- ``pipeline_depth`` k > 1
-  dispatches the Gamma batches of the top-k frontier nodes
-  speculatively, so per-node transport latency overlaps evaluation
-  instead of serializing with it.
-
-The sweep crosses transport x pipeline depth on one workload and
-reports wall time, the solver's evaluation count (identical across all
-cells -- the pipelining-changes-nothing invariant), dispatch-latency
-percentiles from the coordinator (where the time goes), and retry
-counters.  The expected shape: depth k > 1 beats k = 1 most on the
-highest-latency transports (sockets), is neutral in-process (no latency
-to hide), and ``matches_oracle`` is True everywhere.
+Each row reports wall time, the solver's evaluation count (identical
+across all cells), the coordinator's dispatched ``batches`` (the
+solver's per-solve Gamma memo sends each distinct request once, so
+this stays a few dozen however many nodes the search visits),
+dispatch-latency percentiles (where the time goes) and retry
+counters.  The expected shape: ``matches_oracle`` is True everywhere,
+``batches`` is about the same on every transport, and socket
+transports pay more per round trip than in-process.
 """
 
 from __future__ import annotations
@@ -46,12 +41,11 @@ class E10Config:
 
     The workload is a workflow of ``modules`` distinct private modules
     (2-in/2-out, domain 3) with escalating Gamma targets -- enough
-    frontier depth that per-node latency dominates a sequential
-    socket-backed search.
+    frontier depth that the search visits far more nodes than there are
+    distinct Gamma requests.
     """
 
     transports: tuple[str, ...] = ("inprocess", "multiprocess", "unix", "tcp")
-    depths: tuple[int, ...] = (1, 4, 8)
     modules: int = 3
     workers: int = 2
     n_inputs: int = 2
@@ -93,12 +87,11 @@ def run(
     *,
     workers: int | None = None,
 ) -> ResultTable:
-    """Run E10: one row per (transport, pipeline depth).
+    """Run E10: one row per transport.
 
     ``workers`` (the CLI's ``--workers``) overrides the worker count of
-    the multiprocess transport cell.  Socket cells share one warm
-    server per address family, so the depth sweep also shows the
-    multi-tenant warm-kernel effect (later cells hit warm kernels).
+    the multiprocess transport cell.  Each socket transport gets its
+    own fresh server, so every cell solves against cold kernels.
     """
     config = config or E10Config()
     worker_count = config.workers if workers is None else max(1, workers)
@@ -114,35 +107,31 @@ def run(
                 ).start()
             if transport == "tcp" and transport not in servers:
                 servers[transport] = GammaServer(("tcp", "127.0.0.1", 0)).start()
-            for depth in config.depths:
-                requirements = build_requirements(config)
-                with _coordinator_for(
-                    transport, config, servers.get(transport), worker_count
-                ) as coordinator:
-                    started = time.perf_counter()
-                    result = exact_secure_view(
-                        requirements, service=coordinator, pipeline_depth=depth
-                    )
-                    elapsed_ms = (time.perf_counter() - started) * 1000.0
-                    stats = coordinator.service_stats()
-                rows.append(
-                    {
-                        "transport": transport,
-                        "depth": depth,
-                        "time_ms": round(elapsed_ms, 3),
-                        "evaluations": result.evaluations,
-                        "cost": result.cost,
-                        "batches": stats["batches"],
-                        "retried": stats["retried_batches"],
-                        "p50_ms": stats.get("p50_ms", 0.0),
-                        "p99_ms": stats.get("p99_ms", 0.0),
-                        "matches_oracle": (
-                            result.hidden_labels == oracle.hidden_labels
-                            and result.cost == oracle.cost
-                            and result.evaluations == oracle.evaluations
-                        ),
-                    }
-                )
+            requirements = build_requirements(config)
+            with _coordinator_for(
+                transport, config, servers.get(transport), worker_count
+            ) as coordinator:
+                started = time.perf_counter()
+                result = exact_secure_view(requirements, service=coordinator)
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
+                stats = coordinator.service_stats()
+            rows.append(
+                {
+                    "transport": transport,
+                    "time_ms": round(elapsed_ms, 3),
+                    "evaluations": result.evaluations,
+                    "cost": result.cost,
+                    "batches": stats["batches"],
+                    "retried": stats["retried_batches"],
+                    "p50_ms": stats.get("p50_ms", 0.0),
+                    "p99_ms": stats.get("p99_ms", 0.0),
+                    "matches_oracle": (
+                        result.hidden_labels == oracle.hidden_labels
+                        and result.cost == oracle.cost
+                        and result.evaluations == oracle.evaluations
+                    ),
+                }
+            )
     finally:
         for server in servers.values():
             server.close()
@@ -153,33 +142,10 @@ def run(
 
 
 def headline(rows: ResultTable) -> dict[str, object]:
-    """Aggregate numbers quoted in EXPERIMENTS.md.
-
-    ``best_pipeline_speedup`` is the best time(depth=1)/time(depth=k)
-    over the socket transports -- the latency actually hidden by
-    speculative frontier dispatch; on a loaded single-core machine it
-    can dip below 1.0 (speculation costs compute there), which the
-    acceptance contract accounts for by asserting speedup only on
-    multi-core hardware.
-    """
-    by_transport: dict[str, dict[int, float]] = {}
-    for row in rows:
-        by_transport.setdefault(str(row["transport"]), {})[int(row["depth"])] = float(
-            row["time_ms"]
-        )
-    best = 0.0
-    for transport in ("unix", "tcp", "multiprocess"):
-        times = by_transport.get(transport)
-        if not times or 1 not in times:
-            continue
-        base = times[1]
-        for depth, elapsed in times.items():
-            if depth > 1 and elapsed > 0:
-                best = max(best, base / elapsed)
+    """Aggregate numbers quoted in EXPERIMENTS.md."""
     return {
-        "best_pipeline_speedup": round(best, 2),
         "all_match_oracle": all(bool(row["matches_oracle"]) for row in rows),
-        "transports": len(by_transport),
+        "transports": len({row["transport"] for row in rows}),
     }
 
 
@@ -187,7 +153,7 @@ def main() -> None:  # pragma: no cover - convenience entry point
     from repro.experiments.reporting import print_table
 
     rows = run()
-    print_table(rows, title="E10 -- transports x pipelined secure-view search")
+    print_table(rows, title="E10 -- secure-view search over every transport")
     print(headline(rows))
 
 

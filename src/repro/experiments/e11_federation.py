@@ -74,7 +74,6 @@ class E11Config:
     n_inputs: int = 2
     n_outputs: int = 2
     domain_size: int = 3
-    pipeline_depth: int = 4
     seed: int = 97
     #: Append the kill -> recover -> re-admit sweep (also enabled by
     #: passing ``probe_interval`` to :func:`run`, the CLI's
@@ -146,11 +145,7 @@ def run(
                         endpoints=addresses, task_timeout=120.0
                     ) as client:
                         started = time.perf_counter()
-                        result = exact_secure_view(
-                            requirements,
-                            service=client,
-                            pipeline_depth=config.pipeline_depth,
-                        )
+                        result = exact_secure_view(requirements, service=client)
                         elapsed_ms = (time.perf_counter() - started) * 1000.0
                         stats = client.service_stats()
                         fed_stats = client.transport.fetch_stats()
@@ -262,11 +257,7 @@ def elastic_run(
             def phase(name: str, **extra: object) -> dict:
                 before = _cold_work(pool.fetch_stats())
                 started = time.perf_counter()
-                result = exact_secure_view(
-                    build_requirements(config),
-                    service=client,
-                    pipeline_depth=config.pipeline_depth,
-                )
+                result = exact_secure_view(build_requirements(config), service=client)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 cold = _cold_work(pool.fetch_stats()) - before
                 row = {

@@ -11,10 +11,9 @@ measures the service that spreads the work across *processes*
   IPC round trip per request, row tables value-shipped) versus the
   **coalesced** path (per-shard buffers flush many requests as one
   batch; on numpy builds row tables publish once through shared
-  memory).  Requests are submitted one visibility pair at a time --
-  the pipelined access pattern of the secure-view solver -- so the
-  axis isolates exactly the per-request dispatch overhead the
-  coalescer amortises;
+  memory).  Requests are submitted one visibility pair at a time, all
+  in flight before the first is collected, so the axis isolates
+  exactly the per-request dispatch overhead the coalescer amortises;
 * **workload size** -- how many distinct module structures are swept
   (each evaluated on every visibility pair, the access pattern of a
   safe-subset solver);
@@ -106,8 +105,8 @@ def _budget_label(budget: int | None) -> str:
 def _pipelined_gammas(coordinator: ShardCoordinator, requests: list) -> list[int]:
     """Sweep ``requests`` one submit per visibility pair, collect in order.
 
-    This is the solver's pipelined access pattern: without coalescing
-    every request is its own IPC round trip, with coalescing the
+    Every request is in flight before the first is collected: without
+    coalescing each is its own IPC round trip, with coalescing the
     coordinator's per-shard buffers merge many of them into one batch.
     """
     request_ids = [coordinator.submit([request]) for request in requests]

@@ -30,12 +30,7 @@ Two further accelerations sit on top of the kernel:
   evaluation service in one batch (structurally identical modules hit
   the same warm kernel) over any transport -- in-process, multiprocess
   pool, or a socket to a shared server; ``workers=0`` coordinators fall
-  back to an in-process registry with byte-identical results;
-* **pipelined frontier evaluation** -- ``pipeline_depth`` k > 1
-  speculatively dispatches the Gamma batches of the top-k frontier
-  nodes, correlates out-of-order completions by request id, and
-  discards speculations for pruned nodes, hiding per-node transport
-  latency on deep searches while provably returning the same view.
+  back to an in-process registry with byte-identical results.
 """
 
 from __future__ import annotations
@@ -228,8 +223,7 @@ class WorkflowPrivacyRequirements:
         """Service-ready Gamma requests for ``indices`` under ``hidden_labels``.
 
         One ``(structure, visible_inputs, visible_outputs)`` triple per
-        index -- the batch a :class:`ShardCoordinator` evaluates (or a
-        pipelining solver dispatches speculatively).
+        index -- the batch a :class:`ShardCoordinator` evaluates.
         """
         hidden = set(hidden_labels)
         scopes = self._label_scopes()
@@ -243,23 +237,12 @@ class WorkflowPrivacyRequirements:
             )
         return requests
 
-    def narrow(
-        self, indices: Sequence[int], gammas: Sequence[int]
-    ) -> tuple[int, ...]:
-        """The subset of ``indices`` whose achieved ``gammas`` fall short."""
-        scopes = self._label_scopes()
-        return tuple(
-            index
-            for index, gamma in zip(indices, gammas)
-            if gamma < scopes[index][0].gamma
-        )
-
     def unsatisfied_indices(
         self,
         hidden_labels: Iterable[str],
         indices: Sequence[int] | None = None,
         *,
-        service: "ShardCoordinator | None" = None,
+        service: "ShardCoordinator | _SolveMemo | None" = None,
         first_only: bool = False,
     ) -> tuple[int, ...]:
         """Requirement indices (among ``indices``) not met by ``hidden_labels``.
@@ -283,7 +266,11 @@ class WorkflowPrivacyRequirements:
             indices = range(len(scopes))
         if service is not None and len(indices) > 1:
             gammas = service.gammas(self.gamma_requests(hidden, indices))
-            return self.narrow(indices, gammas)
+            return tuple(
+                index
+                for index, gamma in zip(indices, gammas)
+                if gamma < scopes[index][0].gamma
+            )
         unsatisfied = []
         for index in indices:
             requirement, scope = scopes[index]
@@ -317,11 +304,34 @@ class WorkflowPrivacyRequirements:
 # ---------------------------------------------------------------------- #
 # Solvers
 # ---------------------------------------------------------------------- #
+class _SolveMemo:
+    """The per-solve Gamma memo of :func:`exact_secure_view`."""
+
+    def __init__(self, service: "ShardCoordinator") -> None:
+        self.service = service
+        self.known: dict[tuple, int] = {}
+
+    def gammas(self, requests: Sequence[tuple]) -> list[int]:
+        keys = [
+            (structure.signature, visible_inputs, visible_outputs)
+            for structure, visible_inputs, visible_outputs in requests
+        ]
+        misses = {
+            key: request
+            for key, request in zip(keys, requests)
+            if key not in self.known
+        }
+        if misses:
+            self.known.update(
+                zip(misses, self.service.gammas(list(misses.values())))
+            )
+        return [self.known[key] for key in keys]
+
+
 def exact_secure_view(
     requirements: WorkflowPrivacyRequirements,
     *,
     service: "ShardCoordinator | None" = None,
-    pipeline_depth: int = 1,
 ) -> SecureViewResult:
     """Minimum-cost set of labels meeting every requirement, found by
     best-first branch-and-bound.
@@ -339,30 +349,25 @@ def exact_secure_view(
     root is never touched again anywhere in its subtree.  With a
     ``service``, each node's remaining per-module Gamma evaluations run
     as one batch on the sharded evaluation service (in parallel across
-    worker processes); results are identical either way.
+    worker processes; a node left with a single module checks it on the
+    local kernel); results are identical either way.
 
-    ``pipeline_depth`` k > 1 (with a ``service``) additionally
-    *pipelines* the frontier: the Gamma batches of the top-k frontier
-    nodes are dispatched speculatively before the best node is popped,
-    completions are correlated by request id in whatever order the
-    transport delivers them, and speculative results whose node is
-    pruned (or that are still in flight when the search ends) are
-    discarded.  Deep searches thereby overlap per-node transport
-    latency with evaluation instead of paying one round trip per node.
-    The view is provably identical to sequential dispatch: nodes are
-    popped in the same priority order, every per-node evaluation is the
-    same deterministic batch, and the speculative bound check uses the
-    parent's unsatisfied set whose emptiness answer Gamma-monotonicity
-    makes equal to the sequential one -- which is also why the
-    ``evaluations`` count matches exactly (only *consumed* evaluations
-    are counted, at the same points the sequential solver counts them).
+    The service path memoizes Gamma for the duration of one solve,
+    keyed on ``(structure.signature, visible_inputs, visible_outputs)``
+    -- the triple that fully determines a module's Gamma, which depends
+    only on the hidden labels inside that module's scope.  A search
+    may visit thousands of nodes yet ask for only a few dozen distinct
+    triples, so each node sends just its memo misses (deduplicated) as
+    one ``service.gammas`` batch, and a node whose requests all hit
+    sends nothing: each distinct triple crosses the wire once per solve.
+    Nothing is cached across solves -- a new solve asks the service
+    again.
+
     Exponential in the worst case, intended for small workflows and as
     the optimality baseline of experiments E1/E10.
     """
-    if service is not None and pipeline_depth > 1:
-        return _exact_secure_view_pipelined(
-            requirements, service, pipeline_depth
-        )
+    if service is not None:
+        service = _SolveMemo(service)
     labels = requirements.all_labels()
     evaluations = 1
     all_indices = tuple(range(len(requirements.requirements)))
@@ -411,118 +416,6 @@ def exact_secure_view(
                     unsatisfied,
                 ),
             )
-    raise InfeasiblePrivacyError(
-        "no label subset satisfies the requirements"
-    )  # pragma: no cover - unreachable because of the feasibility pre-check
-
-
-def _exact_secure_view_pipelined(
-    requirements: WorkflowPrivacyRequirements,
-    service: "ShardCoordinator",
-    pipeline_depth: int,
-) -> SecureViewResult:
-    """The pipelined (speculative top-k frontier) exact solver.
-
-    Same search tree, same pops, same result as the sequential path --
-    see :func:`exact_secure_view` for the argument.  Each frontier node
-    carries up to two in-flight requests: its *node* batch (Gamma of
-    its subset over the parent's unsatisfied modules) and its *bound*
-    batch (Gamma of its maximal extension over the same indices,
-    dispatched before the narrowed set is known -- monotonicity makes
-    the emptiness verdict identical).  ``service.discard`` drops the
-    speculations that are still in flight when the optimum is found.
-    """
-    labels = requirements.all_labels()
-    evaluations = 1
-    all_indices = tuple(range(len(requirements.requirements)))
-    if requirements.unsatisfied_indices(
-        labels, all_indices, service=service, first_only=True
-    ):
-        raise InfeasiblePrivacyError(
-            "the requirements cannot be met even when hiding every label"
-        )
-    weights = {label: requirements.weight_of(label) for label in labels}
-    order = sorted(labels, key=lambda label: (weights[label], label))
-    rest = {
-        position: tuple(order[position:]) for position in range(len(order) + 1)
-    }
-    Node = tuple[float, int, tuple[str, ...], int, tuple[int, ...]]
-    frontier: list[Node] = [(0.0, 0, (), 0, all_indices)]
-    #: node -> (node-batch request id, bound-batch request id | None)
-    inflight: dict[Node, tuple[int, int | None]] = {}
-
-    def dispatch(node: Node) -> None:
-        if node in inflight:
-            return
-        _, _, subset, next_position, unsatisfied = node
-        node_request = service.submit(
-            requirements.gamma_requests(subset, unsatisfied)
-        )
-        bound_request = None
-        if next_position < len(order):
-            bound_request = service.submit(
-                requirements.gamma_requests(subset + rest[next_position], unsatisfied)
-            )
-        inflight[node] = (node_request, bound_request)
-
-    def discard_all() -> None:
-        for node_request, bound_request in inflight.values():
-            service.discard(node_request)
-            if bound_request is not None:
-                service.discard(bound_request)
-        inflight.clear()
-
-    def gammas_of(request_id: int) -> list[int]:
-        return [result.gamma for result in service.collect(request_id)]
-
-    try:
-        while frontier:
-            # Speculate: the top-k frontier nodes' batches go out before
-            # the best node is popped, so by the time it (and its
-            # successors) are consumed their results are in flight or
-            # already banked.  The O(n log k) top-k scan per pop is the
-            # price of tracking an evolving heap top; it is dwarfed by
-            # the Gamma batches it saves round trips on.
-            if len(frontier) <= pipeline_depth:
-                for node in frontier:
-                    dispatch(node)
-            else:
-                for node in heapq.nsmallest(pipeline_depth, frontier):
-                    dispatch(node)
-            node = heapq.heappop(frontier)
-            cost, size, subset, next_position, unsatisfied = node
-            node_request, bound_request = inflight.pop(node)
-            evaluations += 1
-            narrowed = requirements.narrow(unsatisfied, gammas_of(node_request))
-            if not narrowed:
-                if bound_request is not None:
-                    service.discard(bound_request)
-                return requirements._result(
-                    set(subset), optimal=True, evaluations=evaluations
-                )
-            if next_position >= len(order):
-                continue
-            evaluations += 1
-            # Speculative bound over the parent's (pre-narrow) indices:
-            # indices outside `narrowed` are satisfied at `subset`, hence
-            # (monotonicity) at every extension -- they contribute nothing,
-            # so emptiness here equals the sequential check on `narrowed`.
-            if requirements.narrow(unsatisfied, gammas_of(bound_request)):
-                continue
-            for position in range(next_position, len(order)):
-                label = order[position]
-                heapq.heappush(
-                    frontier,
-                    (
-                        cost + weights[label],
-                        size + 1,
-                        subset + (label,),
-                        position + 1,
-                        narrowed,
-                    ),
-                )
-    finally:
-        discard_all()
     raise InfeasiblePrivacyError(
         "no label subset satisfies the requirements"
     )  # pragma: no cover - unreachable because of the feasibility pre-check
@@ -584,20 +477,16 @@ def secure_view(
     *,
     solver: str = "greedy",
     service: "ShardCoordinator | None" = None,
-    pipeline_depth: int = 1,
 ) -> SecureViewResult:
     """Compute a secure view with the requested solver (``exact``/``greedy``).
 
     ``service`` (a :class:`~repro.service.coordinator.ShardCoordinator`)
-    parallelizes the exact solver's per-module Gamma evaluations, and
-    ``pipeline_depth`` k > 1 additionally overlaps the transport latency
-    of the top-k frontier nodes (see :func:`exact_secure_view`); the
-    greedy solver's incremental single-module probes stay local.
+    parallelizes the exact solver's per-module Gamma evaluations (see
+    :func:`exact_secure_view`); the greedy solver's incremental
+    single-module probes stay local.
     """
     if solver == "exact":
-        return exact_secure_view(
-            requirements, service=service, pipeline_depth=pipeline_depth
-        )
+        return exact_secure_view(requirements, service=service)
     if solver == "greedy":
         return greedy_secure_view(requirements)
     raise PrivacyError(f"unknown secure-view solver {solver!r}")

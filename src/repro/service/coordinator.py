@@ -25,12 +25,9 @@ Two client APIs:
 * the synchronous :meth:`~ShardCoordinator.evaluate` /
   :meth:`~ShardCoordinator.gammas` of PR 3, unchanged in semantics;
 * an asynchronous :meth:`~ShardCoordinator.submit` /
-  :meth:`~ShardCoordinator.collect` / :meth:`~ShardCoordinator.discard`
-  triple keyed by *request id*.  A pipelining caller (the secure-view
-  solver's speculative frontier evaluation) keeps several requests in
-  flight, collects them in whatever order it needs, and discards the
-  requests of pruned search nodes -- late results for discarded
-  requests are dropped on receipt.
+  :meth:`~ShardCoordinator.collect` pair keyed by *request id*: a
+  caller keeps several requests in flight and collects them in
+  whatever order it needs.
 
 With ``coalesce=N`` the asynchronous path buffers submitted tasks per
 shard and flushes them as *coalesced* batches (one IPC round trip
@@ -128,8 +125,8 @@ class _PendingRequest:
         #: In-flight batches currently carrying tasks of this request.
         self.batch_ids: set[int] = set()
         self.results: dict[int, TaskResult] = {}
-        #: Failure text banked until *this* request is collected -- a
-        #: speculative request's error must not abort an unrelated
+        #: Failure text banked until *this* request is collected -- one
+        #: request's error must not abort an unrelated
         #: ``collect`` that happened to be pumping when it arrived.
         self.error: str | None = None
         #: Set when the error is an admission-control shed: ``collect``
@@ -221,13 +218,13 @@ class ShardCoordinator:
         #: (a singleton set without coalescing; possibly several with).
         self._batch_requests: dict[int, set[int]] = {}
         #: task id -> owning request id, for every buffered or in-flight
-        #: task; results and discards resolve their request through this.
+        #: task; results resolve their request through this.
         self._task_requests: dict[int, int] = {}
         #: Dispatch coalescing: 0 disables it (every submit dispatches
         #: its shard batches immediately, the pre-PR-7 behavior); N > 0
         #: buffers tasks per shard and flushes a shard's buffer when it
         #: holds >= N tasks -- one IPC round trip carries the subset
-        #: evaluations of many pipelined requests.  collect() flushes
+        #: evaluations of many in-flight requests.  collect() flushes
         #: all buffers first, so no task waits on the threshold.
         self.coalesce = int(coalesce)
         self._buffers: dict[int, list[GammaTask]] = {}
@@ -326,7 +323,7 @@ class ShardCoordinator:
         and with ``want="sample"`` the given :class:`SampleSpec` rides
         along on every task and the results carry interval payloads.
         The caller later passes the id to :meth:`collect` (block until
-        complete) or :meth:`discard` (drop an abandoned speculation).
+        complete).
         """
         with self._lock:
             if self._closed:
@@ -424,7 +421,7 @@ class ShardCoordinator:
                 # collector is waiting on it (or on anything after it).
                 self._flush_buffers()
         if pending is None:
-            raise ServiceError(f"unknown or discarded request id {request_id}")
+            raise ServiceError(f"unknown or already collected request id {request_id}")
         deadline = time.monotonic() + self.task_timeout
         delivered = -1
         while not pending.done:
@@ -447,30 +444,6 @@ class ShardCoordinator:
                 )
             raise ServiceError(pending.error)
         return [pending.results[task.task_id] for task in pending.tasks]
-
-    def discard(self, request_id: int) -> None:
-        """Drop an in-flight request (a pruned speculation).
-
-        Work already dispatched is not recalled -- shards will finish
-        and their results are dropped on receipt; the warm cache
-        entries they produced remain, so speculation is never wasted
-        twice.
-        """
-        with self._lock:
-            pending = self._pending.pop(request_id, None)
-            if pending is None:
-                return
-            task_ids = {task.task_id for task in pending.tasks}
-            for task_id in task_ids:
-                self._task_requests.pop(task_id, None)
-            # Buffered (not yet dispatched) tasks are simply dropped.
-            for shard_id, buffer in list(self._buffers.items()):
-                kept = [task for task in buffer if task.task_id not in task_ids]
-                if kept:
-                    self._buffers[shard_id] = kept
-                else:
-                    del self._buffers[shard_id]
-            self._forget_request_batches(pending)
 
     def _forget_request_batches(self, pending: _PendingRequest) -> None:
         """Drop a dead/failed request from its in-flight batches.
@@ -635,14 +608,12 @@ class ShardCoordinator:
             self._dispatch_times.pop(batch_id, None)
             self._retried_batch_ids.discard(batch_id)
             if member_ids is None:
-                # Left over from a request that already failed or was
-                # discarded; must not poison this (unrelated) call.
+                # Left over from a request that already failed; must not
+                # poison this (unrelated) call.
                 return deadline
             # Bank the failure on every request the batch carried: it
-            # surfaces when (and only when) each is collected, so a
-            # failed speculation that the search never consumes is
-            # harmless -- exactly like sequential dispatch, which would
-            # never have dispatched it.
+            # surfaces when (and only when) each is collected, never out
+            # of another request's collect().
             for request_id in member_ids:
                 failed = self._pending.get(request_id)
                 if failed is None:
@@ -658,7 +629,7 @@ class ShardCoordinator:
             # treated as shipped: forget the marks and re-ship the batch.
             _, batch_id, signatures = message
             batch = self._inflight_batches.get(batch_id)
-            if batch is None:  # completed, failed or fully discarded
+            if batch is None:  # completed or failed
                 return deadline
             self.transport.unship(batch.shard_id, signatures)
             self._send(batch)
@@ -672,7 +643,7 @@ class ShardCoordinator:
         batch = self._inflight_batches.pop(batch_id, None)
         if member_ids is None or batch is None:
             # Completed by both a dead worker and its replacement, or
-            # belonged to a discarded speculation; results are
+            # every member request already failed; results are
             # deterministic, so dropping this copy is always safe.
             return deadline
         latency_ms = 0.0 if dispatched is None else (received - dispatched) * 1000.0
@@ -690,7 +661,7 @@ class ShardCoordinator:
         for result in results:
             request_id = self._task_requests.pop(result.task_id, None)
             pending = self._pending.get(request_id)
-            if pending is None:  # the owning request was discarded
+            if pending is None:  # the owning request already failed
                 continue
             pending.results[result.task_id] = result
             pending.outstanding.discard(result.task_id)

@@ -45,9 +45,9 @@ lost server heals, with shards following deterministically.
   carry their dispatch epoch on
   :attr:`~repro.service.protocol.ShardReport.epoch`.
 
-Because all of this hides behind the six transport verbs, the pipelined
-secure-view solver and the coordinator's ``submit``/``collect``/
-``discard`` API run unchanged over a federation of servers -- and the
+Because all of this hides behind the six transport verbs, the
+secure-view solver and the coordinator's ``submit``/``collect`` API run
+unchanged over a federation of servers -- and the
 conformance suite holds the pool to byte-identical results with the
 in-process oracle, including under a mid-search endpoint kill and a
 kill -> heal -> re-admit cycle.

@@ -16,9 +16,8 @@ or values.
   groups the tasks bound for one shard together with the structures the
   shard has not seen yet (structures are shipped at most once per worker
   lifetime), and carries the ``request_id`` of the client-side logical
-  request it belongs to -- the correlation key that lets a pipelining
-  client keep several requests in flight and match out-of-order
-  completions;
+  request it belongs to -- the correlation key that lets a client keep
+  several requests in flight and match out-of-order completions;
 * :class:`TaskResult` carries the Gamma (and, when ``want="entry"``, the
   full kernel-entry payload) back; :class:`ShardReport` carries the
   shard's merged ``kernel_stats`` and warm-start gauges, is flagged
@@ -156,7 +155,7 @@ class GammaBatch:
     signatures this shard has not been sent before; the worker registers
     them with its registry shard and resolves every later task by
     signature alone.  ``request_id`` names the client-side logical
-    request (a pipelined solver keeps several in flight); the server
+    request (a client may keep several in flight); the server
     echoes ``batch_id`` back, and the coordinator maps it to the
     request, so completions may arrive in any order.
     """

@@ -879,10 +879,10 @@ class SocketTransport(Transport):
         if self._dead:
             raise TransportSendError("connection to Gamma server is down")
         # Drain replies already queued in the kernel buffers first: a
-        # pipelining client that only writes while the server is
-        # blocked writing replies back would deadlock both directions
-        # once the buffers fill; keeping the read side empty breaks the
-        # cycle.
+        # client with many requests in flight that only writes while
+        # the server is blocked writing replies back would deadlock both
+        # directions once the buffers fill; keeping the read side empty
+        # breaks the cycle.
         self._drain_ready()
         try:
             self._sock.settimeout(self.connect_timeout)

@@ -12,7 +12,7 @@ Three contracts of PR 7:
 * **zero-copy shipping and coalesced dispatch** -- shared-memory row
   tables are attached/detached without leaking segments, and the
   batch-coalescing dispatcher returns exactly the oracle's results
-  under out-of-order collection, discards, and shard errors.
+  under out-of-order collection and shard errors.
 """
 
 from __future__ import annotations
@@ -244,29 +244,6 @@ class TestCoalescedDispatch:
             results = [coordinator.collect(rid)[0] for rid in ids]
             assert not coordinator._buffers
         assert len(results) == len(requests)
-
-    def test_discard_of_buffered_and_inflight_requests_leaks_nothing(self):
-        requests = self._workload(seed=55)
-        with ShardCoordinator(0) as oracle:
-            expected = [result.gamma for result in oracle.evaluate(requests)]
-        with ShardCoordinator(2, coalesce=6) as coordinator:
-            keep = coordinator.submit(requests[: len(requests) // 2])
-            drop_inflight = coordinator.submit(requests)  # flushes: > threshold
-            drop_buffered = coordinator.submit([requests[0]])
-            coordinator.discard(drop_inflight)
-            coordinator.discard(drop_buffered)
-            kept = coordinator.collect(keep)
-            assert [r.gamma for r in kept] == expected[: len(requests) // 2]
-            for rid in (drop_inflight, drop_buffered):
-                with pytest.raises(ServiceError):
-                    coordinator.collect(rid)
-            assert not coordinator._pending
-            assert not coordinator._buffers
-            assert not coordinator._task_requests
-        # In-flight bookkeeping may briefly outlive the discard (the
-        # shard finishes and the completion is dropped on receipt), but
-        # nothing may survive the close.
-        assert not coordinator._batch_requests or coordinator._closed
 
     def test_error_fails_every_member_request_and_nothing_else(self):
         relation = ModuleRelation.random("ERR", n_inputs=3, n_outputs=2, seed=61)

@@ -368,17 +368,13 @@ class TestProberReadmission:
                 max_restarts=1,
             ) as client:
                 pool = client.transport
-                result = exact_secure_view(
-                    search_requirements(70), service=client, pipeline_depth=3
-                )
+                result = exact_secure_view(search_requirements(70), service=client)
                 assert result.evaluations == baseline.evaluations
 
                 # A severed connection to a living server: reconnect
                 # counts a restart, no failover, no re-admission.
                 pool.inject_crash(victim)
-                result = exact_secure_view(
-                    search_requirements(70), service=client, pipeline_depth=3
-                )
+                result = exact_secure_view(search_requirements(70), service=client)
                 assert result.evaluations == baseline.evaluations
                 assert pool.restarts >= 1
                 assert pool.failovers == 0
@@ -389,9 +385,7 @@ class TestProberReadmission:
                 # the pool-wide gauge.
                 restarts_before = pool.restarts
                 servers.pop(victim).close(snapshot=False)
-                result = exact_secure_view(
-                    search_requirements(70), service=client, pipeline_depth=3
-                )
+                result = exact_secure_view(search_requirements(70), service=client)
                 assert result.evaluations == baseline.evaluations
                 assert pool.failovers >= 1
                 assert pool.readmissions == 0

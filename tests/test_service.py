@@ -27,7 +27,9 @@ from repro.privacy.kernel_registry import GammaKernelRegistry, WORD_BYTES
 from repro.privacy.relations import ModuleRelation
 from repro.privacy.workflow_privacy import (
     WorkflowPrivacyRequirements,
+    _SolveMemo,
     exact_secure_view,
+    secure_view,
 )
 from repro.service import (
     GammaTask,
@@ -394,7 +396,12 @@ class TestSecureViewIntegration:
             self._requirements(), service=ShardCoordinator(0)
         )
         via_sharded = exact_secure_view(self._requirements(), service=sharded)
-        for candidate in (via_inprocess, via_sharded):
+        forwarded = ShardCoordinator(0)
+        via_wrapper = secure_view(
+            self._requirements(), solver="exact", service=forwarded
+        )
+        assert forwarded.service_stats()["tasks"] > 0
+        for candidate in (via_inprocess, via_sharded, via_wrapper):
             assert candidate.hidden_labels == baseline.hidden_labels
             assert candidate.cost == baseline.cost
             assert candidate.module_gammas == baseline.module_gammas
@@ -433,6 +440,76 @@ class TestSecureViewIntegration:
             self._requirements(), result.hidden_labels, service=sharded
         )
         assert [r.summary() for r in local] == [r.summary() for r in remote]
+
+
+class TestSolveMemo:
+    """The per-solve Gamma memo of the service-backed exact solver."""
+
+    def _requirements(self):
+        requirements = WorkflowPrivacyRequirements()
+        for index, gamma in ((0, 2), (1, 3), (2, 2)):
+            requirements.add(
+                ModuleRelation.random(
+                    f"M{index}", n_inputs=2, n_outputs=2, domain_size=3, seed=70 + index
+                ),
+                gamma,
+            )
+        return requirements
+
+    def _recording(self, coordinator):
+        batches: list[list[tuple]] = []
+        send = coordinator.gammas
+
+        def gammas(requests):
+            batches.append(
+                [(s.signature, vi, vo) for s, vi, vo in requests]
+            )
+            return send(requests)
+
+        coordinator.gammas = gammas
+        return batches
+
+    def test_memo_lives_for_one_solve_only(self):
+        coordinator = ShardCoordinator(0)
+        first = exact_secure_view(self._requirements(), service=coordinator)
+        after_first = coordinator.service_stats()["tasks"]
+        second = exact_secure_view(self._requirements(), service=coordinator)
+        after_second = coordinator.service_stats()["tasks"]
+        # The second solve starts from an empty memo: it sends every
+        # distinct request again instead of reusing the first solve's.
+        assert after_first > 0
+        assert after_second - after_first == after_first
+        assert second.evaluations == first.evaluations
+        assert second.hidden_labels == first.hidden_labels
+
+    def test_each_distinct_request_crosses_in_one_batch_only(self):
+        coordinator = ShardCoordinator(0)
+        batches = self._recording(coordinator)
+        result = exact_secure_view(self._requirements(), service=coordinator)
+        sent = [key for batch in batches for key in batch]
+        # No node with only memo hits sends an (empty) batch, no batch
+        # repeats a request, and no request is sent twice in one solve.
+        assert all(batches)
+        assert len(sent) == len(set(sent))
+        assert len(batches) < result.evaluations
+        assert coordinator.service_stats()["tasks"] == len(sent)
+
+    def test_duplicate_requests_in_one_node_are_sent_once(self):
+        relation = ModuleRelation.random(
+            "D", n_inputs=2, n_outputs=2, domain_size=3, seed=12
+        )
+        requests = entry_requests(relation)
+        doubled = requests + list(reversed(requests))
+        coordinator = ShardCoordinator(0)
+        batches = self._recording(coordinator)
+        memo = _SolveMemo(coordinator)
+        assert memo.gammas(doubled) == ShardCoordinator(0).gammas(doubled)
+        assert memo.gammas(requests[:3]) == coordinator.gammas(requests[:3])[:3]
+        # The first call sent the distinct requests once, in first-seen
+        # order; the second was all memo hits (the last batch above is
+        # this test's own direct call to the coordinator).
+        distinct = [(s.signature, vi, vo) for s, vi, vo in requests]
+        assert batches == [distinct, distinct[:3]]
 
 
 class TestExperimentE9:

@@ -1,14 +1,13 @@
 """Tests for the transport/server mechanics the conformance matrix skips.
 
-The cross-transport equivalence, pipelining and recovery contracts
+The cross-transport equivalence, per-solve memo and recovery contracts
 (formerly per-transport copies here) live in
 ``test_transport_conformance.py`` as one parametrized matrix; this file
 keeps what is *not* a per-transport contract: frame/wire round-trips,
 socket-server specifics (shared warm kernels across tenants, the
 ``need``-structures re-ship, restart budgets, the stats probe),
-connection-pool unit behavior, the coordinator's speculative-error
-banking, discard bookkeeping and structure LRU, and snapshot-store GC +
-compaction.
+connection-pool unit behavior, the coordinator's out-of-order error
+banking and structure LRU, and snapshot-store GC + compaction.
 """
 
 from __future__ import annotations
@@ -17,13 +16,12 @@ import os
 import socket
 
 import pytest
-from service_workloads import entry_requests, search_requirements
+from service_workloads import entry_requests
 
 from repro.errors import ServiceError, WorkerCrashError
 from repro.experiments import e10_transport
 from repro.privacy.kernel_registry import GammaKernelRegistry
 from repro.privacy.relations import ModuleRelation
-from repro.privacy.workflow_privacy import exact_secure_view, secure_view
 from repro.service import (
     GammaServer,
     KernelSnapshotStore,
@@ -282,33 +280,20 @@ class TestSocketServer:
                         assert client.gammas(entry_requests(relation)) == baseline
 
 
-class TestPipelinedSecureView:
-    def _check_equivalent(self, candidate, baseline):
-        assert candidate.hidden_labels == baseline.hidden_labels
-        assert candidate.cost == baseline.cost
-        assert candidate.module_gammas == baseline.module_gammas
-        assert candidate.evaluations == baseline.evaluations
-        assert candidate.optimal
-
-    def test_secure_view_wrapper_passes_depth(self):
-        baseline = exact_secure_view(search_requirements())
-        result = secure_view(
-            search_requirements(),
-            solver="exact",
-            service=ShardCoordinator(0),
-            pipeline_depth=4,
-        )
-        self._check_equivalent(result, baseline)
-
-    def test_speculative_error_does_not_abort_other_collects(self):
+class TestOutOfOrderCollect:
+    def test_speculative_error_does_not_abort_other_collects(self, monkeypatch):
         # An error belonging to request B, arriving while request A's
         # collect() is pumping, must be banked on B -- not raised out of
-        # A's collect (that would make pipelined search fail where
-        # sequential search would have succeeded).
+        # A's collect.  B's batch never reaches a worker, so the injected
+        # error is its only completion and is queued ahead of A's
+        # results (a real completion of B could otherwise race it).
+        doomed_relation = ModuleRelation.random("Q", n_inputs=2, n_outputs=2, seed=66)
         relation = ModuleRelation.random("P", n_inputs=2, n_outputs=2, seed=65)
         requests = entry_requests(relation)
         with ShardCoordinator(2, task_timeout=30.0) as coordinator:
-            doomed = coordinator.submit(requests)
+            monkeypatch.setattr(coordinator.transport, "submit", lambda batch: None)
+            doomed = coordinator.submit(entry_requests(doomed_relation))
+            monkeypatch.undo()
             doomed_batches = [
                 batch_id
                 for batch_id, request_ids in coordinator._batch_requests.items()
@@ -322,20 +307,6 @@ class TestPipelinedSecureView:
             assert len(results) == len(requests)
             with pytest.raises(ServiceError, match="injected failure"):
                 coordinator.collect(doomed)
-
-    def test_discard_drops_results_without_leaking_state(self):
-        relation = ModuleRelation.random("P", seed=60)
-        coordinator = ShardCoordinator(0)
-        requests = entry_requests(relation)
-        keep = coordinator.submit(requests)
-        drop = coordinator.submit(requests)
-        coordinator.discard(drop)
-        results = coordinator.collect(keep)
-        assert len(results) == len(requests)
-        with pytest.raises(ServiceError):
-            coordinator.collect(drop)
-        assert not coordinator._pending
-        assert not coordinator._batch_requests
 
 
 class TestPooledTransportUnits:
@@ -490,19 +461,27 @@ class TestSnapshotGC:
 class TestExperimentE10:
     def test_small_sweep_matches_oracle(self):
         config = e10_transport.E10Config(
-            transports=("inprocess", "unix"), depths=(1, 4), modules=2, seed=9
+            transports=("inprocess", "unix"), modules=2, seed=9
         )
         rows = e10_transport.run(config)
-        assert len(rows) == 4
+        assert len(rows) == 2
         assert all(row["matches_oracle"] for row in rows)
         evaluations = {row["evaluations"] for row in rows}
-        assert len(evaluations) == 1, "pipelining must not change the search"
+        assert len(evaluations) == 1, "the transport must not change the search"
+        # Each batch carries at least one distinct request, and a module
+        # with k attributes has at most 2^k distinct visibility pairs.
+        distinct_bound = sum(
+            2 ** len(requirement.relation.attribute_names())
+            for requirement in e10_transport.build_requirements(config).requirements
+        )
+        assert all(0 < row["batches"] <= distinct_bound for row in rows)
         headline = e10_transport.headline(rows)
         assert headline["all_match_oracle"] is True
+        assert headline["transports"] == 2
 
     def test_workers_override(self):
         config = e10_transport.E10Config(
-            transports=("multiprocess",), depths=(1,), modules=2, seed=10
+            transports=("multiprocess",), modules=2, seed=10
         )
         rows = e10_transport.run(config, workers=2)
         assert rows and all(row["matches_oracle"] for row in rows)

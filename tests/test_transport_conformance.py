@@ -11,8 +11,9 @@ in-process oracle:
   pickle, for random relations (Hypothesis) and a fixed multi-structure
   workload that exercises multi-shard routing;
 * **identical search behavior**: ``exact_secure_view`` returns the same
-  view, cost, per-module gammas and -- the pipelining-changes-nothing
-  invariant -- the same ``evaluations`` count at pipeline depths 1-8;
+  view, cost, per-module gammas and ``evaluations`` count as the local
+  solver, and its per-solve memo sends each distinct Gamma request over
+  the wire exactly once;
 * **identical recovery**: an injected crash (worker kill or severed
   connection, whichever the transport owns) mid-search recovers to the
   byte-identical result with ``worker_restarts >= 1`` and no
@@ -38,7 +39,10 @@ from hypothesis import strategies as st
 from service_workloads import entry_requests, search_requirements
 
 from repro.privacy.relations import ModuleRelation
-from repro.privacy.workflow_privacy import exact_secure_view
+from repro.privacy.workflow_privacy import (
+    WorkflowPrivacyRequirements,
+    exact_secure_view,
+)
 from repro.service import (
     GammaServer,
     ShardCoordinator,
@@ -85,8 +89,9 @@ ALL_KINDS = (
 #: The kinds owning something that can crash (a worker or a connection).
 CRASHABLE_KINDS = tuple(kind for kind in ALL_KINDS if kind != "inprocess")
 
-#: Search depths of the pipelined-solver sweep.
-DEPTHS = (1, 2, 4, 8)
+#: Workflow seeds of the search cell: four workflows whose solves differ
+#: in node count (156-208 evaluations) and distinct requests (19-27).
+SEARCH_SEEDS = (70, 72, 100, 110)
 
 
 def assert_search_equivalent(candidate, baseline):
@@ -95,6 +100,27 @@ def assert_search_equivalent(candidate, baseline):
     assert candidate.module_gammas == baseline.module_gammas
     assert candidate.evaluations == baseline.evaluations
     assert candidate.optimal
+
+
+def record_service_requests(requirements) -> list[tuple]:
+    """Log ``(module index, signature, visible_inputs, visible_outputs)``
+    for every Gamma request the solver builds for the service, memo hits
+    included."""
+    seen: list[tuple] = []
+    build = requirements.gamma_requests
+
+    def gamma_requests(hidden_labels, indices):
+        requests = build(hidden_labels, indices)
+        seen.extend(
+            (index, structure.signature, visible_inputs, visible_outputs)
+            for index, (structure, visible_inputs, visible_outputs) in zip(
+                indices, requests
+            )
+        )
+        return requests
+
+    requirements.gamma_requests = gamma_requests
+    return seen
 
 
 class TransportHarness:
@@ -228,15 +254,47 @@ class TestConformanceMatrix:
                     theirs.partition,
                 )
 
-    @pytest.mark.parametrize("depth", DEPTHS)
-    def test_conformance_pipelined_search_identical_at_every_depth(
-        self, harness, depth
-    ):
-        baseline = exact_secure_view(search_requirements())
-        result = exact_secure_view(
-            search_requirements(), service=harness.client, pipeline_depth=depth
-        )
+    @pytest.mark.parametrize("seed", SEARCH_SEEDS)
+    def test_conformance_search_sends_each_distinct_request_once(self, harness, seed):
+        baseline = exact_secure_view(search_requirements(seed))
+        requirements = search_requirements(seed)
+        seen = record_service_requests(requirements)
+        before = harness.client.service_stats()["tasks"]
+        result = exact_secure_view(requirements, service=harness.client)
+        tasks = harness.client.service_stats()["tasks"] - before
         assert_search_equivalent(result, baseline)
+        distinct = {request[1:] for request in seen}
+        assert tasks == len(distinct)
+        assert len(seen) > len(distinct), "the memo absorbed no repeat"
+
+
+class TestConformanceMemo:
+    """The per-solve Gamma memo is keyed on structure, not module."""
+
+    def test_conformance_shared_signature_modules_share_memo_entries(self):
+        # "A" and "B" are one table under different attribute names, so
+        # one structure signature: whenever their visibilities coincide
+        # (e.g. nothing hidden in either) they ask for the same Gamma.
+        twins = WorkflowPrivacyRequirements()
+        for module_id in ("A", "B"):
+            twins.add(
+                ModuleRelation.random(
+                    module_id, n_inputs=2, n_outputs=2, domain_size=3, seed=9
+                ),
+                2,
+            )
+        signatures = {
+            r.relation.structure_signature.signature for r in twins.requirements
+        }
+        assert len(signatures) == 1
+        seen = record_service_requests(twins)
+        coordinator = ShardCoordinator(0)
+        result = exact_secure_view(twins, service=coordinator)
+        assert_search_equivalent(result, exact_secure_view(twins))
+        per_module = {(request[0],) + request[2:] for request in seen}
+        distinct = {request[1:] for request in seen}
+        assert coordinator.service_stats()["tasks"] == len(distinct)
+        assert len(distinct) < len(per_module)
 
 
 class TestConformanceRecovery:
@@ -261,9 +319,8 @@ class TestConformanceRecovery:
                 return original_submit(requests, **kwargs)
 
             coordinator.submit = crashing_submit
-            result = exact_secure_view(
-                search_requirements(), service=coordinator, pipeline_depth=4
-            )
+            result = exact_secure_view(search_requirements(), service=coordinator)
+            assert state["count"] >= 6, "the search finished before the crash"
             assert_search_equivalent(result, baseline)
             assert coordinator.worker_restarts >= 1
 
@@ -319,9 +376,8 @@ class TestConformanceFederation:
                     return original_submit(requests, **kwargs)
 
                 client.submit = killing_submit
-                result = exact_secure_view(
-                    search_requirements(seed), service=client, pipeline_depth=3
-                )
+                result = exact_secure_view(search_requirements(seed), service=client)
+                assert state["count"] >= kill_at, "the search finished first"
                 # The exact view survives the endpoint loss, and the
                 # solver's evaluation count is untouched by retries --
                 # re-dispatched batches are never double-counted.
@@ -462,10 +518,9 @@ class TestConformanceElasticity:
                     return original_submit(requests, **kwargs)
 
                 client.submit = killing_submit
-                result = exact_secure_view(
-                    search_requirements(70), service=client, pipeline_depth=3
-                )
+                result = exact_secure_view(search_requirements(70), service=client)
                 client.submit = original_submit
+                assert state["count"] >= 2, "the search finished before the kill"
                 assert_search_equivalent(result, baseline)
                 assert victim in pool.lost_endpoints
                 assert pool.failovers >= 1
@@ -483,9 +538,7 @@ class TestConformanceElasticity:
 
                 # Phase 3: post-re-admission the pool is indistinguishable
                 # from a fresh pool over the same membership.
-                result = exact_secure_view(
-                    search_requirements(70), service=client, pipeline_depth=3
-                )
+                result = exact_secure_view(search_requirements(70), service=client)
                 assert_search_equivalent(result, baseline)
                 assert pool.stale_completions == 0
                 with ShardCoordinator(

@@ -14,12 +14,15 @@
 # (byte-compiles every tree we ship); `make test-fallback` re-runs the
 # kernel and service suites with REPRO_PURE_PYTHON=1, proving the
 # pure-python fallback stays byte-identical to the numpy columnar
-# kernel; `make clean` removes bytecode and tool caches.
+# kernel; `make perf-smoke` runs the end-to-end benchmark self-test
+# (tiny runs of every perfbench workload, every metric and oracle
+# checked, and a tampered oracle must fail); `make clean` removes
+# bytecode and tool caches.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-conformance test-chaos test-tls test-fallback bench bench-check lint clean
+.PHONY: test test-conformance test-chaos test-tls test-fallback bench bench-check perf-smoke lint clean
 
 # Extra pytest selection flags (CI's tier-1 step passes
 # PYTEST_FLAGS='-k "not conformance"' because the conformance matrix
@@ -49,6 +52,9 @@ bench:
 
 bench-check:
 	$(PYTHON) benchmarks/check_regression.py
+
+perf-smoke:
+	$(PYTHON) perfbench/selftest.py
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

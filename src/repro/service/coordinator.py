@@ -704,8 +704,7 @@ class ShardCoordinator:
     def preloaded_entries(self) -> int:
         """Cache entries restored from snapshots at (worker/server) start."""
         with self._lock:
-            live = self.transport.live_kernel_stats()
-            if live is not None:
+            if self.transport.has_live_stats:
                 return self.transport.preloaded_entries
             return sum(
                 report.preloaded_entries for report in self._last_reports.values()

@@ -266,6 +266,10 @@ class Transport(abc.ABC):
         from shard reports instead."""
         return 0
 
+    #: Whether :meth:`live_kernel_stats` reads local kernels: a flag, so
+    #: a caller can tell without building a stats snapshot.
+    has_live_stats = False
+
     def live_kernel_stats(self) -> dict[str, int] | None:
         """Authoritative kernel stats, for transports with local state."""
         return None
@@ -296,6 +300,7 @@ class InProcessTransport(Transport):
     """
 
     name = "inprocess"
+    has_live_stats = True
 
     def __init__(
         self,
@@ -340,10 +345,7 @@ class InProcessTransport(Transport):
             shard_id=0,
             batch_id=batch.batch_id,
             completed=len(results),
-            kernel_stats={
-                **self.registry.kernel_stats,
-                **self.registry.aggregate_counters(),
-            },
+            kernel_stats=self.registry.stats_snapshot(),
             preloaded_entries=self._preloaded,
         )
         self._ready.append((MSG_BATCH, 0, batch.batch_id, results, report))
@@ -362,10 +364,7 @@ class InProcessTransport(Transport):
         return self._preloaded
 
     def live_kernel_stats(self) -> dict[str, int]:
-        return {
-            **self.registry.kernel_stats,
-            **self.registry.aggregate_counters(),
-        }
+        return self.registry.stats_snapshot()
 
     def export_kernel_entries(
         self, signatures: Iterable[str]

@@ -256,10 +256,7 @@ def serve_shard(
             # Size/sharing gauges plus the work counters (refinements,
             # passes, hits) -- the coordinator's warm/cold accounting
             # needs both.
-            kernel_stats={
-                **registry.kernel_stats,
-                **registry.aggregate_counters(),
-            },
+            kernel_stats=registry.stats_snapshot(),
             preloaded_entries=preloaded,
         )
         result_queue.put((MSG_BATCH, shard_id, batch.batch_id, results, report))

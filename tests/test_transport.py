@@ -258,6 +258,32 @@ class TestSocketServer:
             with ShardCoordinator(address=server.address, task_timeout=20.0) as client:
                 assert client.gammas(requests) == baseline
 
+    def test_warm_batch_reads_registry_stats_twice(self, tmp_path, monkeypatch):
+        """One warm batch costs two registry stats reads: the report built
+        by the in-process backend and the server's own ``kernel_stats``.
+        Checking whether the backend is local must not add a third."""
+        relation = ModuleRelation.random("P", n_inputs=2, n_outputs=2, seed=83)
+        requests = entry_requests(relation)
+        reads = []
+        counted = GammaKernelRegistry.aggregate_counters
+
+        def counting(registry):
+            reads.append(registry)
+            return counted(registry)
+
+        path = str(tmp_path / "reads.sock")
+        with GammaServer(("unix", path)) as server:
+            with ShardCoordinator(address=server.address) as client:
+                client.gammas(requests)  # ships the structure, warms the kernel
+                batches = client.service_stats()["batches"]
+                monkeypatch.setattr(
+                    GammaKernelRegistry, "aggregate_counters", counting
+                )
+                client.gammas(requests)
+                monkeypatch.undo()
+                assert client.service_stats()["batches"] == batches + 1
+        assert len(reads) == 2
+
     def test_server_rejects_empty_structure_cache(self, tmp_path):
         with pytest.raises(ServiceError):
             GammaServer(("unix", str(tmp_path / "x.sock")), structure_cache_size=0)

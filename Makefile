@@ -45,7 +45,7 @@ test-fallback:
 	REPRO_PURE_PYTHON=1 $(PYTHON) -m pytest -q tests/test_kernel_registry.py \
 		tests/test_columnar_kernel.py tests/test_privacy_kernel_equivalence.py \
 		tests/test_privacy_relations.py tests/test_service.py \
-		tests/test_approx_gamma.py tests/test_sortfree_kernel.py
+		tests/test_sortfree_kernel.py
 
 bench:
 	$(PYTHON) benchmarks/run_benchmarks.py
@@ -57,9 +57,9 @@ perf-smoke:
 	$(PYTHON) perfbench/selftest.py
 
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench
 
 clean:
 	rm -rf .pytest_cache .hypothesis BENCH_*.json
-	find src tests benchmarks examples -name __pycache__ -type d -prune \
+	find src tests benchmarks examples perfbench -name __pycache__ -type d -prune \
 		-exec rm -rf {} +

@@ -40,8 +40,7 @@ BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
 #: adversary hot paths, plus (since PR 3) the keyword-search/storage
 #: query ops and the evaluation service -- which includes the
 #: secure-view deep-search op over a socket
-#: (``test_service_deep_search``) -- and the sampled
-#: approximate-Gamma estimator ops (``approx``).  Markers are
+#: (``test_service_deep_search``).  Markers are
 #: chosen to match the query/service benchmarks but not the figure-layer
 #: ones (e.g. ``keyword_search`` matches E5 and the gallery search, not
 #: ``test_fig5_keyword_answer`` -- figures are not a guarded hot path).
@@ -53,8 +52,6 @@ GUARDED_MARKERS = (
     "keyword_search",
     "storage",
     "service",
-    "approx",
-    "strata",
 )
 
 

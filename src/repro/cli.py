@@ -71,7 +71,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _experiment_span() -> str:
-    """The experiment id range, derived from the registry (e.g. ``E1-E12``)."""
+    """The experiment id range, derived from the registry (e.g. ``E1-E11``)."""
     ids = sorted(ALL_EXPERIMENTS, key=lambda name: int(name.lstrip("E")))
     if len(ids) == 1:
         return ids[0]
@@ -110,8 +110,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 f"note: {experiment_id} does not take --endpoints; ignoring",
                 file=sys.stderr,
             )
-    for option in ("probe_interval", "rebalance", "coalesce", "seed",
-                   "tls_ca", "auth_token"):
+    for option in ("probe_interval", "rebalance", "coalesce", "tls_ca",
+                   "auth_token"):
         value = getattr(args, option, None)
         if value is None:
             continue
@@ -300,17 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
             "health-prober cadence in seconds for elastic federation "
             "experiments (E11); lost endpoints are pinged and re-admitted "
             "on recovery"
-        ),
-    )
-    experiment.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=(
-            "sampling seed for experiments with randomized estimators "
-            "(E12); the same seed reproduces every sampled interval "
-            "byte-for-byte across transports, defaults are fixed per "
-            "experiment so plain runs are already deterministic"
         ),
     )
     experiment.add_argument(

@@ -1,7 +1,7 @@
 """Experiment and figure harness.
 
 ``reproduce_all_figures`` rebuilds every figure of the paper;
-``ALL_EXPERIMENTS`` maps experiment ids (E1-E12) to their ``run`` functions;
+``ALL_EXPERIMENTS`` maps experiment ids (E1-E11) to their ``run`` functions;
 ``run_experiment`` dispatches by id.  Each experiment module also exposes a
 ``headline`` function producing the aggregate numbers quoted in
 ``EXPERIMENTS.md`` and a ``main`` entry point that prints the full table.
@@ -19,7 +19,6 @@ from repro.experiments import (
     e9_sharding,
     e10_transport,
     e11_federation,
-    e12_approx,
 )
 from repro.experiments.figures import (
     FIG5_QUERY,
@@ -64,7 +63,6 @@ ALL_EXPERIMENTS = {
     "E9": e9_sharding.run,
     "E10": e10_transport.run,
     "E11": e11_federation.run,
-    "E12": e12_approx.run,
 }
 
 #: Headline aggregators keyed by experiment id.
@@ -80,12 +78,11 @@ ALL_HEADLINES = {
     "E9": e9_sharding.headline,
     "E10": e10_transport.headline,
     "E11": e11_federation.headline,
-    "E12": e12_approx.headline,
 }
 
 
 def run_experiment(experiment_id: str) -> ResultTable:
-    """Run one experiment by id (``"E1"`` ... ``"E12"``)."""
+    """Run one experiment by id (``"E1"`` ... ``"E11"``)."""
     try:
         runner = ALL_EXPERIMENTS[experiment_id.upper()]
     except KeyError:

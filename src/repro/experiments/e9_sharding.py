@@ -219,12 +219,10 @@ def run(
                                     "kernel_hits": stats.get("kernel_hits", 0),
                                     # Group-construction attribution: how
                                     # much shard wall time went into
-                                    # building partitions/strata vs the
-                                    # fused counting passes.
+                                    # building partitions vs the fused
+                                    # counting passes.
                                     "build_ms": round(
-                                        stats.get("partition_build_ms", 0.0)
-                                        + stats.get("strata_build_ms", 0.0),
-                                        3,
+                                        stats.get("partition_build_ms", 0.0), 3
                                     ),
                                     "fused_passes": stats.get(
                                         "entry_fused_passes", 0

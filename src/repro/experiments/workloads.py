@@ -210,9 +210,9 @@ def scaled_structure(
 ) -> RelationStructure:
     """A canonical relation structure of arbitrary row count.
 
-    The approximate-Gamma experiment (E12) needs relations far past what
-    a :class:`ModuleRelation` row mapping can hold (>= 10^6 rows), so
-    this builds the canonical *column* form directly: each column is an
+    Large-scale kernel and service workloads need relations far past
+    what a :class:`ModuleRelation` row mapping can hold (>= 10^5 rows),
+    so this builds the canonical *column* form directly: each column is an
     independent uniform draw over its domain positions, seeded per
     column by hashing ``(seed, role, position)`` -- deterministic,
     backend-free, and O(rows) per column.

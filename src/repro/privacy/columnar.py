@@ -140,18 +140,6 @@ class use_backend:
 # ---------------------------------------------------------------------- #
 # Payload helpers shared by both backends
 # ---------------------------------------------------------------------- #
-def payload_bytes(values: object) -> int:
-    """Accounted cache cost of one partition/counts payload.
-
-    ``nbytes`` for ``int64`` arrays and ``len * WORD_BYTES`` for tuples
-    -- numerically identical, so budgets, eviction order and the
-    ``bytes_in_use`` gauges behave the same on either backend.
-    """
-    if _np is not None and isinstance(values, _np.ndarray):
-        return int(values.nbytes)
-    return len(values) * WORD_BYTES  # type: ignore[arg-type]
-
-
 def freeze(payload: object) -> object:
     """A payload with every array replaced by a tuple of python ints.
 
@@ -186,10 +174,6 @@ def thaw_entry(key: tuple, payload: object) -> object:
             _np.asarray(counts, dtype=_np.int64) if _counts_fit(counts) else counts,
             gamma,
         )
-    if key and key[0] == "strata":
-        order, offsets = payload  # type: ignore[misc]
-        return (_np.asarray(order, dtype=_np.int64), tuple(offsets))
-    # ("sample", ...) payloads are already plain int tuples on both backends.
     return payload
 
 
@@ -310,146 +294,6 @@ class PureTable:
         passes into a single counting pass).
         """
         return self.distinct_projections(partition, blocks, visible_outputs)
-
-    def strata(
-        self, partition: Sequence[int]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Row ids grouped by block: ``(order, offsets)``.
-
-        ``order`` lists every row id, rows of block 0 first, rows
-        ascending within a block; ``offsets[b]:offsets[b+1]`` delimits
-        block ``b``.  Block ids are contiguous first-occurrence numbers,
-        so ascending id order equals first-occurrence order -- the numpy
-        backend's stable argsort yields the identical sequence.
-        """
-        groups: list[list[int]] = []
-        for row, block in enumerate(partition):
-            while block >= len(groups):
-                groups.append([])
-            groups[block].append(row)
-        order = tuple(row for group in groups for row in group)
-        offsets = [0]
-        for group in groups:
-            offsets.append(offsets[-1] + len(group))
-        return order, tuple(offsets)
-
-    reference_strata = strata
-
-    def initial_strata(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Strata of the empty-visibility partition (one block, row order)."""
-        if self.row_count == 0:
-            return (), (0,)
-        return tuple(range(self.row_count)), (0, self.row_count)
-
-    def refine_strata(
-        self,
-        base_order: Sequence[int],
-        refined: Sequence[int],
-        input_index: int,
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Strata of ``refined`` derived from the base partition's order.
-
-        ``base_order`` is the :meth:`strata` order of the partition
-        ``refined`` was refined *from* by column ``input_index``; every
-        refined block lies inside one base block, so replaying rows in
-        base order keeps them ascending within each refined block --
-        identical values to ``strata(refined)`` without re-deriving the
-        grouping from scratch.
-        """
-        groups: list[list[int]] = []
-        for row in base_order:
-            block = refined[row]
-            while block >= len(groups):
-                groups.append([])
-            groups[block].append(row)
-        order = tuple(row for group in groups for row in group)
-        offsets = [0]
-        for group in groups:
-            offsets.append(offsets[-1] + len(group))
-        return order, tuple(offsets)
-
-    def block_sizes(self, partition: Sequence[int]) -> list[int]:
-        """Rows per block of a first-occurrence-numbered partition.
-
-        One linear pass -- the sampled-strata estimator path uses this to
-        rank and budget blocks without materializing full strata.
-        """
-        sizes = [0] * (max(partition) + 1 if partition else 0)
-        for block in partition:
-            sizes[block] += 1
-        return sizes
-
-    def block_rows(
-        self, partition: Sequence[int], blocks: Sequence[int]
-    ) -> dict[int, tuple[int, ...]]:
-        """Row ids of just the listed blocks, ascending within each.
-
-        The *sampled strata construction*: one linear pass over the
-        partition gathers only the blocks a sampling wave touches,
-        instead of building (and caching) the full ``(order, offsets)``
-        strata for every block.
-        """
-        wanted = set(blocks)
-        gathered: dict[int, list[int]] = {block: [] for block in blocks}
-        for row, block in enumerate(partition):
-            if block in wanted:
-                gathered[block].append(row)
-        return {block: tuple(rows) for block, rows in gathered.items()}
-
-    def largest_blocks(self, sizes: Sequence[int], limit: int) -> list[int]:
-        """The ``limit`` largest block ids, ties broken by ascending id."""
-        ranked = sorted(range(len(sizes)), key=lambda b: (-sizes[b], b))
-        return ranked[:limit]
-
-    def concat_rows(self, chunks: Sequence[Sequence[int]]) -> list[int]:
-        """Row-id chunks flattened into one sampling batch."""
-        return [row for chunk in chunks for row in chunk]
-
-    def sample_distincts(
-        self,
-        partition: Sequence[int],
-        rows: Sequence[int],
-        visible_outputs: tuple[int, ...],
-    ) -> dict[int, tuple[int, int]]:
-        """Per touched block: ``(distinct, singletons)`` over sampled rows.
-
-        ``distinct`` is the number of distinct visible-output projections
-        among the block's sampled rows; ``singletons`` the number of
-        those seen exactly once (the Good-Turing statistic the missing
-        -mass bound feeds on).
-        """
-        columns = [self.output_columns[index] for index in visible_outputs]
-        tallies: dict[tuple[int, tuple[int, ...]], int] = {}
-        for row in rows:
-            pair = (partition[row], tuple(column[row] for column in columns))
-            tallies[pair] = tallies.get(pair, 0) + 1
-        stats: dict[int, tuple[int, int]] = {}
-        for (block, _projection), count in tallies.items():
-            distinct, singletons = stats.get(block, (0, 0))
-            stats[block] = (distinct + 1, singletons + (1 if count == 1 else 0))
-        return stats
-
-    def exhaust_distincts(
-        self,
-        partition: Sequence[int],
-        order: Sequence[int],
-        offsets: Sequence[int],
-        blocks: Sequence[int],
-        visible_outputs: tuple[int, ...],
-    ) -> dict[int, tuple[int, int]]:
-        """Exact per-block ``(distinct, singletons)`` of whole strata.
-
-        ``order``/``offsets`` are a :meth:`strata` result; every listed
-        block is counted over its *full* row slice.  The estimator uses
-        this to exhaust straddling blocks in one pass instead of
-        streaming them row by row through the sampler.
-        """
-        rows = [
-            row
-            for block in blocks
-            for row in order[offsets[block] : offsets[block + 1]]
-        ]
-        return self.sample_distincts(partition, rows, visible_outputs)
 
 
 class NumpyTable:
@@ -611,22 +455,20 @@ class NumpyTable:
         rank[order] = _np.arange(order.size, dtype=_np.int64)
         return rank[inverse]
 
-    def _fold_output_codes(self, code, ncodes: int, visible_outputs, index):
+    def _fold_output_codes(self, code, ncodes: int, visible_outputs):
         """Fold visible output columns into a dense running group code.
 
-        ``code`` holds dense group ids in ``[0, ncodes)`` for the rows
-        selected by ``index`` (``None`` selects all rows).  Each column
-        widens the key space to ``ncodes·domain`` and re-compresses it
-        through a dense occupancy cumsum -- no sort -- falling back to
-        ``np.unique`` (same codes: both number keys in ascending key
-        order) when the key space outgrows the guard.
+        ``code`` holds dense group ids in ``[0, ncodes)``, one per row.
+        Each column widens the key space to ``ncodes·domain`` and
+        re-compresses it through a dense occupancy cumsum -- no sort --
+        falling back to ``np.unique`` (same codes: both number keys in
+        ascending key order) when the key space outgrows the guard.
         """
         rows = code.size
         for output in visible_outputs:
-            column = self.output_matrix[output]
-            values = column if index is None else column[index]
-            combined = code * self.output_domain_sizes[output] + values
-            space = ncodes * self.output_domain_sizes[output]
+            domain = self.output_domain_sizes[output]
+            combined = code * domain + self.output_matrix[output]
+            space = ncodes * domain
             if _dense_space_ok(space, rows):
                 occupied = _np.zeros(space, dtype=_np.bool_)
                 occupied[combined] = True
@@ -654,9 +496,7 @@ class NumpyTable:
             partition = _np.asarray(partition, dtype=_np.int64)
         if partition.size == 0:
             return _np.zeros(blocks, dtype=_np.int64)
-        code, ncodes = self._fold_output_codes(
-            partition, blocks, visible_outputs, None
-        )
+        code, ncodes = self._fold_output_codes(partition, blocks, visible_outputs)
         representative = _np.empty(ncodes, dtype=_np.int64)
         representative[code] = _np.arange(partition.size, dtype=_np.int64)
         owners = partition[representative]
@@ -684,181 +524,6 @@ class NumpyTable:
         return _np.bincount(owners, minlength=blocks).astype(_np.int64, copy=False)
 
     reference_distinct_projections = distinct_projections
-
-    def strata(self, partition):
-        """Row ids grouped by block: ``(order, offsets)``.
-
-        Same values as :meth:`PureTable.strata` -- the stable argsort
-        keeps rows ascending within each block, and first-occurrence
-        block ids make ascending-id order equal first-occurrence order.
-        This is the sort-based construction, retained as the oracle the
-        incremental :meth:`refine_strata` chain is verified against (and
-        the one-shot path for a partition with no cached prefix order).
-        """
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
-        order = _np.argsort(partition, kind="stable").astype(_np.int64, copy=False)
-        blocks = int(partition.max()) + 1 if partition.size else 0
-        counts = _np.bincount(partition, minlength=blocks)
-        offsets = (0, *_np.cumsum(counts).tolist())
-        return order, offsets
-
-    reference_strata = strata
-
-    def initial_strata(self):
-        """Strata of the empty-visibility partition (one block, row order)."""
-        if self.row_count == 0:
-            return _np.empty(0, dtype=_np.int64), (0,)
-        return _np.arange(self.row_count, dtype=_np.int64), (0, self.row_count)
-
-    def refine_strata(self, base_order, refined, input_index: int):
-        """Strata of ``refined`` derived from the base partition's order.
-
-        The incremental strata pass: ``base_order`` already groups rows
-        by the base partition (ascending within each block), and every
-        refined block is exactly the subset of one base block sharing one
-        value of column ``input_index``.  A stable bucket sort of the
-        replayed column values (narrowed to the smallest unsigned dtype
-        the domain fits, so the stable radix path kicks in) therefore
-        makes every refined block one *globally contiguous run*: within a
-        value group the stable sort preserves base order, and a block's
-        rows all share one (base block, value) pair.  Run boundaries plus
-        plain arithmetic then land every row at its final offset -- one
-        O(rows) pass over a narrow key replaces the global
-        O(rows log rows) argsort of the wide block-id column; values are
-        identical to ``strata(refined)``.
-        """
-        if not isinstance(refined, _np.ndarray):
-            refined = _np.asarray(refined, dtype=_np.int64)
-        if not isinstance(base_order, _np.ndarray):
-            base_order = _np.asarray(base_order, dtype=_np.int64)
-        rows = refined.size
-        blocks = int(refined.max()) + 1 if rows else 0
-        counts = _np.bincount(refined, minlength=blocks)
-        cumulative = _np.cumsum(counts)
-        offsets = (0, *cumulative.tolist())
-        if rows == 0:
-            return _np.empty(0, dtype=_np.int64), offsets
-        starts = cumulative - counts
-        values_in_order = self.input_matrix[input_index][base_order]
-        domain = self.input_domain_sizes[input_index]
-        if domain <= 1 << 8:
-            values_in_order = values_in_order.astype(_np.uint8)
-        elif domain <= 1 << 16:
-            values_in_order = values_in_order.astype(_np.uint16)
-        by_value = _np.argsort(values_in_order, kind="stable")
-        positions = base_order[by_value]
-        keys = refined[positions]
-        boundary = _np.empty(rows, dtype=bool)
-        boundary[0] = True
-        _np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-        run_first = _np.flatnonzero(boundary)
-        run_lengths = _np.diff(_np.append(run_first, rows))
-        # Each run IS one refined block: shift its rows so the run's
-        # first element lands on the block's start slot.
-        shift = run_first - starts[keys[run_first]]
-        destinations = _np.arange(rows, dtype=_np.int64) - _np.repeat(
-            shift, run_lengths
-        )
-        order = _np.empty(rows, dtype=_np.int64)
-        order[destinations] = positions
-        return order, offsets
-
-    def block_sizes(self, partition) -> list[int]:
-        """Rows per block of a first-occurrence-numbered partition."""
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
-        blocks = int(partition.max()) + 1 if partition.size else 0
-        return _np.bincount(partition, minlength=blocks).tolist()
-
-    def block_rows(self, partition, blocks) -> dict:
-        """Row ids of just the listed blocks, ascending within each.
-
-        The *sampled strata construction*: a dense membership gather
-        pulls only the blocks a sampling wave touches out of the
-        partition, instead of building full strata for every block.
-        """
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
-        if not blocks:
-            return {}
-        total = int(partition.max()) + 1 if partition.size else 0
-        wanted = _np.zeros(total, dtype=_np.bool_)
-        wanted[list(blocks)] = True
-        selected = _np.flatnonzero(wanted[partition])
-        owners = partition[selected]
-        gathered: dict[int, object] = {}
-        for block in blocks:
-            gathered[block] = selected[owners == block]
-        return gathered
-
-    def largest_blocks(self, sizes, limit: int) -> list[int]:
-        """The ``limit`` largest block ids, ties broken by ascending id.
-
-        ``np.lexsort`` with ``(-size, id)`` keys matches the pure
-        backend's ``sorted`` ranking exactly, so both backends budget
-        the same active set.
-        """
-        sizes = _np.asarray(sizes, dtype=_np.int64)
-        ranked = _np.lexsort((_np.arange(sizes.size), -sizes))
-        return ranked[:limit].tolist()
-
-    def concat_rows(self, chunks):
-        """Row-id chunks flattened into one sampling batch."""
-        chunks = [_np.asarray(chunk, dtype=_np.int64) for chunk in chunks]
-        if not chunks:
-            return _np.empty(0, dtype=_np.int64)
-        return _np.concatenate(chunks)
-
-    def sample_distincts(self, partition, rows, visible_outputs: tuple[int, ...]):
-        """Per touched block: ``(distinct, singletons)`` over sampled rows.
-
-        Vectorized gather: the sampled rows' visible-output columns are
-        folded into a dense group code seeded by the owning block id
-        through the same sort-free re-compression as
-        :meth:`fused_entry`, then tallied once per distinct
-        ``(block, projection)`` code -- one counting pass per wave
-        instead of two ``np.unique`` sorts.
-        """
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
-        index = _np.asarray(rows, dtype=_np.int64)
-        if index.size == 0:
-            return {}
-        blocks_of = partition[index]
-        code, ncodes = self._fold_output_codes(
-            blocks_of, int(blocks_of.max()) + 1, visible_outputs, index
-        )
-        tallies = _np.bincount(code, minlength=ncodes)
-        representative = _np.empty(ncodes, dtype=_np.int64)
-        representative[code] = _np.arange(index.size, dtype=_np.int64)
-        # With no output columns the seed code is the raw block id, so
-        # codes absent from the sample leave gaps; tally > 0 masks them.
-        present = _np.flatnonzero(tallies)
-        owners = blocks_of[representative[present]].tolist()
-        singles = (tallies[present] == 1).tolist()
-        stats: dict[int, tuple[int, int]] = {}
-        for block, single in zip(owners, singles):
-            distinct, singletons = stats.get(block, (0, 0))
-            stats[block] = (distinct + 1, singletons + (1 if single else 0))
-        return stats
-
-    def exhaust_distincts(self, partition, order, offsets, blocks, visible_outputs):
-        """Exact per-block ``(distinct, singletons)`` of whole strata.
-
-        Same values as :meth:`PureTable.exhaust_distincts`, but the
-        listed blocks' slices are concatenated and folded in a single
-        vectorized pass -- exhausting straddling blocks costs one
-        gather, not a python loop per row.
-        """
-        if not blocks:
-            return {}
-        if not isinstance(order, _np.ndarray):
-            order = _np.asarray(order, dtype=_np.int64)
-        index = _np.concatenate(
-            [order[offsets[block] : offsets[block + 1]] for block in blocks]
-        )
-        return self.sample_distincts(partition, index, visible_outputs)
 
 
 #: A backend table of either kind.

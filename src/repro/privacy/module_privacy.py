@@ -343,22 +343,10 @@ def randomized_safe_subset(
     return best
 
 
-def _approx_safe_subset(relation, gamma, **kwargs):
-    """Lazy dispatch to :func:`repro.privacy.approx.approx_safe_subset`.
-
-    The approx subsystem imports this module (for the result type and
-    cost helpers), so its own import happens at call time.
-    """
-    from repro.privacy.approx import approx_safe_subset
-
-    return approx_safe_subset(relation, gamma, **kwargs)
-
-
 SOLVERS = {
     "exact": exact_safe_subset,
     "greedy": greedy_safe_subset,
     "randomized": randomized_safe_subset,
-    "approx": _approx_safe_subset,
 }
 
 

@@ -157,12 +157,7 @@ def best_view_under_privacy(
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class GammaCostPoint:
-    """One point of a module's Gamma/hiding-cost frontier.
-
-    ``ci_half_width``/``confidence`` qualify the point when it was solved
-    by the sampling estimator (``solver="approx"``: ``achieved_gamma`` is
-    then the certified lower bound); both are ``None`` for exact points.
-    """
+    """One point of a module's Gamma/hiding-cost frontier."""
 
     module_id: str
     gamma: int
@@ -170,12 +165,10 @@ class GammaCostPoint:
     hidden: frozenset[str]
     achieved_gamma: int
     evaluations: int
-    ci_half_width: float | None = None
-    confidence: float | None = None
 
     def summary(self) -> dict[str, object]:
         """Compact dictionary form for experiment tables."""
-        data = {
+        return {
             "module": self.module_id,
             "gamma": self.gamma,
             "cost": self.cost,
@@ -183,11 +176,6 @@ class GammaCostPoint:
             "achieved_gamma": self.achieved_gamma,
             "evaluations": self.evaluations,
         }
-        if self.ci_half_width is not None:
-            data["ci_half_width"] = self.ci_half_width
-        if self.confidence is not None:
-            data["confidence"] = self.confidence
-        return data
 
 
 def gamma_cost_frontier(
@@ -205,8 +193,7 @@ def gamma_cost_frontier(
     sweep shares the relation's memoized Gamma kernel, so consecutive
     levels reuse each other's partitions and subset evaluations; cost is
     monotone non-decreasing in Gamma by construction.  Extra keyword
-    arguments go to the solver -- ``solver="approx"`` takes ``budget``,
-    ``confidence``, ``seed`` etc. and yields interval-qualified points.
+    arguments go to the solver.
     """
     max_gamma = relation.max_gamma()
     if gammas is None:
@@ -226,8 +213,6 @@ def gamma_cost_frontier(
                 hidden=result.hidden,
                 achieved_gamma=result.gamma,
                 evaluations=result.evaluations,
-                ci_half_width=getattr(result, "ci_half_width", None),
-                confidence=getattr(result, "confidence", None),
             )
         )
     return points

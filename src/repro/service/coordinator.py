@@ -60,7 +60,6 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.errors import ServiceError, ServiceOverloadError
-from repro.privacy.approx import SampleSpec
 from repro.privacy.kernel_registry import RelationStructure
 from repro.service.persistence import KernelSnapshotStore
 from repro.service.protocol import (
@@ -70,7 +69,6 @@ from repro.service.protocol import (
     MSG_OVERLOAD,
     MSG_STOPPED,
     WANT_GAMMA,
-    WANT_SAMPLE,
     GammaBatch,
     GammaTask,
     ShardReport,
@@ -313,15 +311,12 @@ class ShardCoordinator:
         requests: Iterable[GammaRequest],
         *,
         want: str = WANT_GAMMA,
-        sample: "SampleSpec | None" = None,
     ) -> int:
         """Dispatch every request as one logical unit; returns a request id.
 
         Each request is ``(structure, visible_inputs, visible_outputs)``;
         with ``want="entry"`` the results carry the full kernel-entry
-        payload (per-block counts and partition) instead of Gamma only,
-        and with ``want="sample"`` the given :class:`SampleSpec` rides
-        along on every task and the results carry interval payloads.
+        payload (per-block counts and partition) instead of Gamma only.
         The caller later passes the id to :meth:`collect` (block until
         complete).
         """
@@ -338,7 +333,6 @@ class ShardCoordinator:
                         tuple(visible_inputs),
                         tuple(visible_outputs),
                         want,
-                        sample,
                     )
                 )
             request_id = next(self._request_ids)
@@ -477,18 +471,6 @@ class ShardCoordinator:
     def gammas(self, requests: Iterable[GammaRequest]) -> list[int]:
         """Just the Gamma of every request, in request order."""
         return [result.gamma for result in self.evaluate(requests)]
-
-    def sample(
-        self, requests: Iterable[GammaRequest], spec: "SampleSpec"
-    ) -> list[TaskResult]:
-        """Sampled Gamma intervals for every request, in request order.
-
-        Every result's ``interval`` holds the estimator's payload and
-        ``gamma`` its certified lower bound.  The spec's explicit seed
-        travels on the wire, so the same call is byte-identical across
-        ``workers=0``, multiprocess and pooled transports.
-        """
-        return self.collect(self.submit(requests, want=WANT_SAMPLE, sample=spec))
 
     # ------------------------------------------------------------------ #
     # Dispatch and the result pump
@@ -757,10 +739,10 @@ class ShardCoordinator:
             **self.latency_percentiles(),
         }
         # Group-construction attribution (sort-free kernel satellite):
-        # how much shard wall time went into partition/strata building vs
-        # fused counting passes, so E9/E12 can split the two.
+        # how much shard wall time went into partition building vs fused
+        # counting passes, so E9 can split the two.
         kernel = self.kernel_stats()
-        for key in ("entry_fused_passes", "partition_build_ms", "strata_build_ms"):
+        for key in ("entry_fused_passes", "partition_build_ms"):
             if key in kernel:
                 stats[key] = kernel[key]
         with self._membership_lock:

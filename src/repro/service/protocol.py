@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.errors import ServiceError
-from repro.privacy.approx import SampleSpec
 from repro.privacy.kernel_registry import RelationStructure
 
 try:  # pragma: no cover - exercised only where msgpack is installed
@@ -70,11 +69,9 @@ SHUTDOWN = "__shutdown__"
 #: snapshotting -- the crash-recovery test hook.
 CRASH = "__crash__"
 
-#: ``GammaTask.want`` values: return only the Gamma, the full entry, or a
-#: sampled confidence interval (the task then carries a ``SampleSpec``).
+#: ``GammaTask.want`` values: return only the Gamma, or the full entry.
 WANT_GAMMA = "gamma"
 WANT_ENTRY = "entry"
-WANT_SAMPLE = "sample"
 
 #: Message kinds exchanged between transports/servers and the coordinator.
 MSG_BATCH = "batch"
@@ -121,30 +118,17 @@ def shard_of(signature: str, shards: int) -> int:
 
 @dataclass(frozen=True)
 class GammaTask:
-    """One Gamma evaluation: a structure signature plus a visibility pair.
-
-    ``want="sample"`` tasks additionally carry the :class:`SampleSpec`
-    driving the estimator -- including its explicit seed, so the worker's
-    sampling streams are fixed by the request alone and the reply is
-    byte-identical over any transport.
-    """
+    """One Gamma evaluation: a structure signature plus a visibility pair."""
 
     task_id: int
     signature: str
     visible_inputs: tuple[int, ...]
     visible_outputs: tuple[int, ...]
     want: str = WANT_GAMMA
-    sample: SampleSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.want not in (WANT_GAMMA, WANT_ENTRY, WANT_SAMPLE):
+        if self.want not in (WANT_GAMMA, WANT_ENTRY):
             raise ServiceError(f"unknown task payload kind {self.want!r}")
-        if self.want == WANT_SAMPLE and self.sample is None:
-            raise ServiceError("want='sample' tasks must carry a SampleSpec")
-        if self.want != WANT_SAMPLE and self.sample is not None:
-            raise ServiceError(
-                f"want={self.want!r} tasks must not carry a SampleSpec"
-            )
 
 
 @dataclass(frozen=True)
@@ -199,9 +183,6 @@ class TaskResult:
 
     ``counts`` and ``partition`` are populated only for ``want="entry"``
     tasks, keeping the common (Gamma-only) reply small on the wire.
-    ``interval`` is populated only for ``want="sample"`` tasks: the
-    :meth:`~repro.privacy.approx.GammaInterval.to_payload` int tuple
-    (``gamma`` then holds the interval's certified lower bound).
     """
 
     task_id: int
@@ -209,7 +190,6 @@ class TaskResult:
     gamma: int
     counts: tuple[int, ...] | None = None
     partition: tuple[int, ...] | None = None
-    interval: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -329,34 +309,19 @@ def structure_from_wire(wire: list) -> RelationStructure:
 
 
 def task_to_wire(task: GammaTask) -> list:
-    """A task's wire form: the 5 legacy fields, plus the sample spec.
-
-    The spec element is appended only when present, so non-sample
-    traffic keeps the 5-element form pre-PR-8 peers decode (peers that
-    old could not serve sample tasks anyway).
-    """
-    wire = [
+    return [
         task.task_id,
         task.signature,
         list(task.visible_inputs),
         list(task.visible_outputs),
         task.want,
     ]
-    if task.sample is not None:
-        wire.append(task.sample.to_wire())
-    return wire
 
 
 def task_from_wire(wire: list) -> GammaTask:
-    task_id, signature, visible_inputs, visible_outputs, want = wire[:5]
-    sample = SampleSpec.from_wire(wire[5]) if len(wire) > 5 else None
+    task_id, signature, visible_inputs, visible_outputs, want = wire
     return GammaTask(
-        task_id,
-        signature,
-        tuple(visible_inputs),
-        tuple(visible_outputs),
-        want,
-        sample,
+        task_id, signature, tuple(visible_inputs), tuple(visible_outputs), want
     )
 
 
@@ -388,29 +353,23 @@ def batch_from_wire(wire: list) -> GammaBatch:
 
 
 def result_to_wire(result: TaskResult) -> list:
-    """A result's wire form; the interval element is appended only when set."""
-    wire = [
+    return [
         result.task_id,
         result.signature,
         result.gamma,
         None if result.counts is None else list(result.counts),
         None if result.partition is None else list(result.partition),
     ]
-    if result.interval is not None:
-        wire.append(list(result.interval))
-    return wire
 
 
 def result_from_wire(wire: list) -> TaskResult:
-    task_id, signature, gamma, counts, partition = wire[:5]
-    interval = wire[5] if len(wire) > 5 else None
+    task_id, signature, gamma, counts, partition = wire
     return TaskResult(
         task_id,
         signature,
         gamma,
         None if counts is None else tuple(counts),
         None if partition is None else tuple(partition),
-        None if interval is None else tuple(int(value) for value in interval),
     )
 
 
@@ -508,9 +467,57 @@ def message_to_wire(message: tuple) -> list:
     return [kind, *[list(part) if isinstance(part, tuple) else part for part in message[1:]]]
 
 
+#: Element counts (kind included) each message kind's wire form may have:
+#: a batch is a request (2) or a completion (5), stats a request (1) or a
+#: reply (2).  Kinds not listed pass through for the receiver to reject.
+MESSAGE_ARITY = {
+    MSG_BATCH: (2, 5),
+    MSG_ERROR: (4,),
+    MSG_NEED: (3,),
+    MSG_STATS: (1, 2),
+    MSG_STOP: (1,),
+    MSG_STOPPED: (2,),
+    MSG_PING: (1,),
+    MSG_PONG: (2,),
+    MSG_EXPORT: (2,),
+    MSG_EXPORTED: (2,),
+    MSG_IMPORT: (2,),
+    MSG_IMPORTED: (2,),
+    MSG_OVERLOAD: (4,),
+}
+
+
 def message_from_wire(wire: list) -> tuple:
-    """Invert :func:`message_to_wire`."""
+    """Invert :func:`message_to_wire`.
+
+    Raises :class:`ServiceError` on any malformed wire form -- not a
+    list, the wrong arity for its kind, a task, result or structure of
+    the wrong shape -- so a reader can count the bad frame and drop its
+    sender instead of dying on whatever the decoder tripped over.
+    """
+    try:
+        return _decode_message(wire)
+    except (
+        TypeError,
+        ValueError,
+        KeyError,
+        IndexError,
+        AttributeError,
+        OverflowError,
+        struct.error,
+    ) as exc:
+        raise ServiceError(f"malformed wire message: {exc!r}") from None
+
+
+def _decode_message(wire: list) -> tuple:
+    if not isinstance(wire, (list, tuple)) or not wire:
+        raise ServiceError(f"malformed wire message of type {type(wire).__name__}")
     kind = wire[0]
+    arity = MESSAGE_ARITY.get(kind)
+    if arity is not None and len(wire) not in arity:
+        raise ServiceError(
+            f"malformed {kind!r} message: {len(wire)} elements, expected {arity}"
+        )
     if kind == MSG_BATCH and len(wire) == 2:
         return (kind, batch_from_wire(wire[1]))
     if kind == MSG_BATCH:
@@ -572,11 +579,19 @@ def decode_payload(payload: bytes, codec: str, *, allow_pickle: bool = True) -> 
                 "peer sent a pickle frame but this endpoint only accepts "
                 "msgpack (allow_pickle=False)"
             )
-        return pickle.loads(payload)
+        # Unpickling malformed bytes can raise nearly anything
+        # (UnpicklingError, EOFError, AttributeError, ImportError, ...).
+        try:
+            return pickle.loads(payload)
+        except Exception as exc:
+            raise ServiceError(f"undecodable pickle frame: {exc!r}") from None
     if codec == CODEC_MSGPACK:
         if msgpack is None:
             raise ServiceError("msgpack frame received but msgpack is not installed")
-        return msgpack.unpackb(payload, raw=False, strict_map_key=False)
+        try:
+            return msgpack.unpackb(payload, raw=False, strict_map_key=False)
+        except ValueError as exc:  # msgpack's decode errors subclass it
+            raise ServiceError(f"undecodable msgpack frame: {exc!r}") from None
     raise ServiceError(f"unknown frame codec {codec!r}")
 
 

@@ -98,7 +98,6 @@ from repro.service.protocol import (
     MSG_STOP,
     MSG_STOPPED,
     WANT_ENTRY,
-    WANT_SAMPLE,
     GammaBatch,
     ShardReport,
     TaskResult,
@@ -883,57 +882,37 @@ class GammaServer:
         self, batch: GammaBatch, structures: dict[str, RelationStructure]
     ) -> tuple[tuple[TaskResult, ...], ShardReport]:
         want_entry = any(task.want == WANT_ENTRY for task in batch.tasks)
-        plain_tasks = [task for task in batch.tasks if task.want != WANT_SAMPLE]
-        sample_tasks = [task for task in batch.tasks if task.want == WANT_SAMPLE]
-
-        def request_of(task) -> tuple:
-            return (
-                structures[task.signature],
-                task.visible_inputs,
-                task.visible_outputs,
-            )
-
         # The coordinator is thread-safe; concurrent dispatchers evaluate
         # in parallel wherever the backend's shards allow it.
-        by_task_id: dict[int, TaskResult] = {}
-        if plain_tasks:
-            backend_results = self._backend.evaluate(
-                [request_of(task) for task in plain_tasks],
-                want=WANT_ENTRY if want_entry else plain_tasks[0].want,
-            )
-            for task, backend_result in zip(plain_tasks, backend_results):
-                if task.want == WANT_ENTRY:
-                    by_task_id[task.task_id] = TaskResult(
+        backend_results = self._backend.evaluate(
+            [
+                (
+                    structures[task.signature],
+                    task.visible_inputs,
+                    task.visible_outputs,
+                )
+                for task in batch.tasks
+            ],
+            want=WANT_ENTRY if want_entry else batch.tasks[0].want,
+        )
+        results = []
+        for task, backend_result in zip(batch.tasks, backend_results):
+            if task.want == WANT_ENTRY:
+                results.append(
+                    TaskResult(
                         task.task_id,
                         task.signature,
                         backend_result.gamma,
                         backend_result.counts,
                         backend_result.partition,
                     )
-                else:
-                    by_task_id[task.task_id] = TaskResult(
-                        task.task_id, task.signature, backend_result.gamma
-                    )
-        # Sample tasks re-dispatch through the backend's own sample path
-        # so the spec -- including its explicit seed -- survives the hop;
-        # grouped by spec because one batch may in principle mix them.
-        by_spec: dict[object, list] = {}
-        for task in sample_tasks:
-            by_spec.setdefault(task.sample, []).append(task)
-        for spec, tasks in by_spec.items():
-            backend_results = self._backend.sample(
-                [request_of(task) for task in tasks], spec
-            )
-            for task, backend_result in zip(tasks, backend_results):
-                by_task_id[task.task_id] = TaskResult(
-                    task.task_id,
-                    task.signature,
-                    backend_result.gamma,
-                    interval=backend_result.interval,
+                )
+            else:
+                results.append(
+                    TaskResult(task.task_id, task.signature, backend_result.gamma)
                 )
         kernel_stats = self._backend.kernel_stats()
         preloaded = self._backend.preloaded_entries
-        results = [by_task_id[task.task_id] for task in batch.tasks]
         self._batches_served = next(self._batch_counter)
         report = ShardReport(
             shard_id=batch.shard_id,
@@ -1149,7 +1128,10 @@ class GammaServer:
                 try:
                     frame = self._next_frame(conn, io_lock, rxbuf)
                 except ServiceError:
-                    break  # torn frame / refused codec: drop the client
+                    # Torn, refused or malformed frame: count it, then
+                    # drop the client.
+                    self._count_server_error()
+                    break
                 except (ssl.SSLError, OSError):
                     break
                 if frame is None:

@@ -28,7 +28,6 @@ import traceback
 from typing import TYPE_CHECKING
 
 from repro.privacy import columnar
-from repro.privacy.approx import kernel_sample_interval
 from repro.privacy.kernel_registry import (
     GammaKernelRegistry,
     RelationStructure,
@@ -42,7 +41,6 @@ from repro.service.protocol import (
     MSG_STOPPED,
     SHUTDOWN,
     WANT_ENTRY,
-    WANT_SAMPLE,
     GammaBatch,
     ShardReport,
     ShmTableRef,
@@ -161,19 +159,6 @@ def process_batch(
                 f"shard received task for unknown structure {task.signature!r} "
                 "(batch did not ship it and no earlier batch did)"
             )
-        if task.want == WANT_SAMPLE:
-            interval = kernel_sample_interval(
-                kernel, task.visible_inputs, task.visible_outputs, task.sample
-            )
-            results.append(
-                TaskResult(
-                    task.task_id,
-                    task.signature,
-                    interval.lower,
-                    interval=interval.to_payload(),
-                )
-            )
-            continue
         partition, counts, gamma = kernel.entry(
             task.visible_inputs, task.visible_outputs
         )

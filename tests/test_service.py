@@ -32,6 +32,7 @@ from repro.privacy.workflow_privacy import (
     secure_view,
 )
 from repro.service import (
+    GammaServer,
     GammaTask,
     KernelSnapshotStore,
     ShardCoordinator,
@@ -170,6 +171,24 @@ class TestShardedEquivalence:
         assert len(sharded.shard_reports()) == 2
 
 
+def entries_of_every_kind(relation) -> tuple:
+    """One cache entry of each kind a snapshot or handoff may carry.
+
+    The two kinds a kernel computes, plus two kinds no code reads any
+    more (older snapshots and handoffs can still hold them).
+    """
+    kernel = GammaKernelRegistry().ensure_kernel(relation.structure_signature)
+    kernel.entry((0,), (0,))
+    live = {key: (payload, cost) for key, payload, cost in kernel.export_entries()}
+    rows = relation.structure_signature.row_count
+    return (
+        (("partition", (0,)),) + live[("partition", (0,))],
+        (("kernel", (0,), (0,)),) + live[("kernel", (0,), (0,))],
+        (("strata", (0,)), (tuple(range(rows)), (0, rows)), (rows + 2) * WORD_BYTES),
+        (("sample", 4096, 9, 7), (1, 2, 3), 3 * WORD_BYTES),
+    )
+
+
 class TestPersistence:
     def test_snapshot_round_trip_identical_payloads_and_counters(self, tmp_path):
         relation = ModuleRelation.random(
@@ -268,6 +287,36 @@ class TestPersistence:
         for pair in pairs:
             assert freeze(restored.entry(*pair)) == freeze(expected[pair])
         assert restored.counters["grouping_passes"] == passes
+
+    def test_snapshot_preloads_only_partition_and_kernel_entries(self, tmp_path):
+        relation = ModuleRelation.random("P", n_inputs=2, n_outputs=1, seed=36)
+        structure = relation.structure_signature
+        KernelSnapshotStore(tmp_path).import_signatures(
+            {structure.signature: (structure, entries_of_every_kind(relation))}
+        )
+        fresh = GammaKernelRegistry()
+        assert KernelSnapshotStore(tmp_path).warm_registry(fresh) == 2
+        restored = fresh.kernels[0]
+        assert restored.counters["preloaded"] == 2
+        assert restored.kernel_stats["cached_entries"] == 2
+        restored.entry((0,), (0,))
+        assert restored.counters["kernel_hits"] == 1
+        assert restored.counters["grouping_passes"] == 0
+
+    def test_handoff_imports_only_partition_and_kernel_entries(self, tmp_path):
+        relation = ModuleRelation.random("P", n_inputs=2, n_outputs=1, seed=37)
+        structure = relation.structure_signature
+        payload = {structure.signature: (structure, entries_of_every_kind(relation))}
+        with GammaServer(("unix", str(tmp_path / "handoff.sock"))) as server:
+            with ShardCoordinator(address=server.address) as client:
+                assert client.import_kernel_entries(payload) == 2
+                assert client.gammas([(structure, (0,), (0,))]) == [
+                    ShardCoordinator(0).gammas([(structure, (0,), (0,))])[0]
+                ]
+                stats = client.kernel_stats()
+        assert stats["preloaded"] == 2
+        assert stats["kernel_hits"] == 1
+        assert stats["grouping_passes"] == 0
 
     def test_clear_removes_snapshots(self, tmp_path):
         registry = GammaKernelRegistry()

@@ -1,24 +1,17 @@
 """Sort-free kernel hot path versus the retained sort-based oracles.
 
-PR 9 replaced the kernel's O(rows log rows) ``np.unique``/``argsort``
-group passes with counting sorts (refinement, fused entry counting) and
-made strata construction incremental (one bucket pass per appended
-column, replaying the cached prefix order).  The sort-based passes are
-kept verbatim as ``reference_*`` oracles; this suite holds the new hot
-path to them byte-for-byte:
+The kernel's group passes are counting sorts (refinement, fused entry
+counting) rather than O(rows log rows) ``np.unique``/``argsort`` passes.
+The sort-based passes are kept verbatim as ``reference_*`` oracles; this
+suite holds the hot path to them byte-for-byte:
 
-* **counting-sort vs argsort equivalence** -- partitions, strata,
-  entries and eviction order agree with the reference passes on random
-  relations (Hypothesis), on both backends, including the degenerate
-  single-block and all-distinct relations where the dense-key-space
-  guard flips between the counting pass and the sort fallback;
-* **incremental strata** -- every prefix chain reproduces the global
-  argsort's ``(order, offsets)`` exactly, and the cached payloads cost
-  exactly their ``order`` + ``offsets`` words on both backends;
-* **snapshot/wire round-trips** -- strata payloads produced by the
-  incremental path freeze/thaw across backends and preload without
-  recomputation, and kernel stats carrying the float ``*_ms`` timers
-  survive the report merge un-truncated.
+* **counting-sort vs argsort equivalence** -- partitions, entries and
+  eviction order agree with the reference passes on random relations
+  (Hypothesis), on both backends, including the degenerate single-block
+  and all-distinct relations where the dense-key-space guard flips
+  between the counting pass and the sort fallback;
+* **stats round-trips** -- kernel stats carrying the float ``*_ms``
+  timers survive the report merge un-truncated.
 """
 
 from __future__ import annotations
@@ -30,17 +23,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.privacy import columnar
-from repro.privacy.columnar import freeze, thaw_entry, use_backend
+from repro.privacy.columnar import freeze, use_backend
 from repro.privacy.kernel_registry import (
     TIMING_STAT_KEYS,
     GammaKernelRegistry,
     RelationStructure,
 )
 from repro.service.protocol import merge_kernel_stats
-
-needs_numpy = pytest.mark.skipif(
-    not columnar.numpy_available(), reason="numpy not installed"
-)
 
 RELAXED = settings(
     max_examples=25,
@@ -138,7 +127,7 @@ class TestCountingSortEquivalence:
     @RELAXED
     @given(structure=random_structures())
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_partitions_strata_entries_match_reference(self, backend, structure):
+    def test_partitions_and_entries_match_reference(self, backend, structure):
         with use_backend(backend):
             registry = GammaKernelRegistry()
             kernel = registry.ensure_kernel(structure)
@@ -152,10 +141,6 @@ class TestCountingSortEquivalence:
                 for index in visible_inputs:
                     reference = table.reference_refine(reference, index)
                 assert freeze(partition) == freeze(reference)
-                order, offsets = kernel.strata(visible_inputs)
-                ref_order, ref_offsets = table.reference_strata(reference)
-                assert freeze(order) == freeze(ref_order)
-                assert tuple(offsets) == tuple(ref_offsets)
                 blocks = columnar.block_count(partition)
                 for visible_outputs in output_sets:
                     _, counts, gamma = kernel.entry(
@@ -181,10 +166,6 @@ class TestCountingSortEquivalence:
                 for index in visible_inputs:
                     reference = table.reference_refine(reference, index)
                 assert freeze(partition) == freeze(reference)
-                order, offsets = kernel.strata(visible_inputs)
-                ref_order, ref_offsets = table.reference_strata(reference)
-                assert freeze(order) == freeze(ref_order)
-                assert tuple(offsets) == tuple(ref_offsets)
                 blocks = columnar.block_count(partition)
                 for visible_outputs in output_sets:
                     fused = table.fused_entry(partition, blocks, visible_outputs)
@@ -193,37 +174,6 @@ class TestCountingSortEquivalence:
                             partition, blocks, visible_outputs
                         )
                     )
-
-    @needs_numpy
-    @RELAXED
-    @given(structure=random_structures())
-    def test_backends_agree_on_sampled_strata_helpers(self, structure):
-        """block_sizes/block_rows/largest_blocks agree across backends."""
-        results = {}
-        for backend in BACKENDS:
-            with use_backend(backend):
-                kernel = GammaKernelRegistry().ensure_kernel(structure)
-                table = kernel.table
-                visible_inputs = tuple(
-                    range(len(structure.input_domain_sizes))
-                )
-                partition = kernel.partition(visible_inputs)
-                sizes = table.block_sizes(partition)
-                some = list(range(0, len(sizes), 2))
-                gathered = table.block_rows(partition, some)
-                results[backend] = (
-                    list(sizes),
-                    {
-                        block: tuple(int(row) for row in rows)
-                        for block, rows in gathered.items()
-                    },
-                    table.largest_blocks(sizes, max(1, len(sizes) // 2)),
-                    [int(r) for r in table.concat_rows(
-                        [gathered[b] for b in some]
-                    )],
-                )
-        assert results["numpy"] == results["pure"]
-
 
 class TestEvictionOrderEquivalence:
     @RELAXED
@@ -234,8 +184,7 @@ class TestEvictionOrderEquivalence:
     def test_eviction_sequence_identical_across_paths_and_backends(
         self, structure, budget
     ):
-        """Same evicted-key sequence on every backend under tight budgets,
-        with strata entries in the mix (their cost is the true payload)."""
+        """Same evicted-key sequence on every backend under tight budgets."""
         sequences = {}
         for backend in BACKENDS:
             evicted: list[tuple] = []
@@ -249,7 +198,6 @@ class TestEvictionOrderEquivalence:
                 kernel = registry.ensure_kernel(structure)
                 input_sets, output_sets = _visibility_chains(structure)
                 for visible_inputs in input_sets:
-                    kernel.strata(visible_inputs)
                     for visible_outputs in output_sets:
                         kernel.entry(visible_inputs, visible_outputs)
             sequences[backend] = evicted
@@ -257,83 +205,16 @@ class TestEvictionOrderEquivalence:
         for backend in BACKENDS[1:]:
             assert sequences[backend] == first
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_strata_cost_charges_true_payload(self, backend):
-        structure = degenerate_structures()[0]
-        with use_backend(backend):
-            kernel = GammaKernelRegistry().ensure_kernel(structure)
-            for visible_inputs in ((), (0,), (0, 1)):
-                order, offsets = kernel.strata(visible_inputs)
-                key = ("strata", visible_inputs)
-                _, cost = kernel._entries[key]
-                assert cost == columnar.payload_bytes(
-                    order
-                ) + columnar.payload_bytes(offsets)
-                assert cost == (len(order) + len(offsets)) * columnar.WORD_BYTES
-
-
 class TestPayloadRoundTrips:
-    @RELAXED
-    @given(structure=random_structures(max_rows=12))
-    def test_strata_payloads_freeze_thaw_across_backends(self, structure):
-        frozen_by_backend = {}
-        for backend in BACKENDS:
-            with use_backend(backend):
-                kernel = GammaKernelRegistry().ensure_kernel(structure)
-                visible_inputs = tuple(range(len(structure.input_domain_sizes)))
-                kernel.strata(visible_inputs)
-                frozen_by_backend[backend] = {
-                    key: (freeze(payload), cost)
-                    for key, (payload, cost) in kernel._entries.items()
-                    if key[0] == "strata"
-                }
-        reference = frozen_by_backend[BACKENDS[0]]
-        assert reference  # the chain cached at least the root stratum
-        for backend, entries in frozen_by_backend.items():
-            assert entries == reference
-        # Thawing restores the active backend's native container with the
-        # same frozen image -- the snapshot/wire round-trip contract.
-        for backend in BACKENDS:
-            with use_backend(backend):
-                for key, (payload, _) in reference.items():
-                    assert freeze(thaw_entry(key, payload)) == payload
-
-    @pytest.mark.parametrize(
-        "write_backend,read_backend",
-        [(a, b) for a in BACKENDS for b in BACKENDS],
-    )
-    def test_preloaded_strata_answer_without_recomputation(
-        self, write_backend, read_backend
-    ):
-        structure = degenerate_structures()[0]
-        with use_backend(write_backend):
-            kernel = GammaKernelRegistry().ensure_kernel(structure)
-            visible_inputs = (0, 1)
-            expected = tuple(
-                freeze(item) for item in kernel.strata(visible_inputs)
-            )
-            exported = kernel.export_entries()
-        with use_backend(read_backend):
-            warm = GammaKernelRegistry().ensure_kernel(structure)
-            warm.import_entries(exported)
-            before = warm.counters
-            got = tuple(freeze(item) for item in warm.strata(visible_inputs))
-            after = warm.counters
-        assert got == expected
-        assert after["strata_refinements"] == before["strata_refinements"]
-        assert after["partition_refinements"] == before["partition_refinements"]
-
     def test_merge_kernel_stats_preserves_float_timers(self):
         merged = merge_kernel_stats(
             [
                 {"grouping_passes": 3, "partition_build_ms": 0.25},
-                {"grouping_passes": 2, "partition_build_ms": 0.5,
-                 "strata_build_ms": 1.75},
+                {"grouping_passes": 2, "partition_build_ms": 0.5},
             ]
         )
         assert merged["grouping_passes"] == 5
         assert merged["partition_build_ms"] == pytest.approx(0.75)
-        assert merged["strata_build_ms"] == pytest.approx(1.75)
         assert isinstance(merged["grouping_passes"], int)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -343,14 +224,11 @@ class TestPayloadRoundTrips:
             registry = GammaKernelRegistry()
             kernel = registry.ensure_kernel(structure)
             kernel.entry((0, 1), (0,))
-            kernel.strata((0, 1))
             stats = kernel.kernel_stats
             aggregate = registry.aggregate_counters()
         assert stats["entry_fused_passes"] == 1
-        assert stats["strata_refinements"] == 2  # (0,) then (0, 1)
         for key in TIMING_STAT_KEYS:
             assert isinstance(stats[key], float)
             assert stats[key] >= 0.0
             assert aggregate[key] == stats[key]
         assert stats["partition_build_ms"] > 0.0
-        assert stats["strata_build_ms"] > 0.0

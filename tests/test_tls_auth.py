@@ -12,6 +12,7 @@ pre-split, which the end-to-end suites only exercise implicitly.
 from __future__ import annotations
 
 import json
+import pickle
 import shutil
 import socket
 import struct
@@ -389,6 +390,85 @@ class TestWriterPoisonRegression:
                 server.stats = original_stats
             stats = server.stats()
             assert stats["server_errors"] >= 1
+
+
+# ---------------------------------------------------------------------- #
+# Malformed wire forms: counted, connection dropped, server keeps serving
+# ---------------------------------------------------------------------- #
+def raw_pickle_frame(payload: bytes) -> bytes:
+    """A pickle-tagged frame around ``payload``, bypassing the encoder."""
+    return struct.pack(">I", len(payload)) + b"P" + payload
+
+
+#: Frames no well-formed client sends; each must be refused as a
+#: ServiceError by the decoder, never crash the reader thread.
+MALFORMED_FRAMES = {
+    "short_task": ["batch", [1, 0, 0, [[1, "sig", [0], [0]]], {}]],
+    "six_element_task": [
+        "batch",
+        [1, 0, 0, [[1, "sig", [0], [0], "sample", [64, "junk"]]], {}],
+    ],
+    "want_sample": ["batch", [1, 0, 0, [[1, "sig", [0], [0], "sample"]], {}]],
+    "wrong_arity_batch": ["batch", [1, 0, 0, []]],
+    "non_list_tasks": ["batch", [1, 0, 0, 7, {}]],
+    "undecodable_payload": None,
+}
+
+
+def malformed_server(kind, certs, tmp_path):
+    if kind == "unix":
+        return GammaServer(("unix", str(tmp_path / "malformed.sock")))
+    if kind == "tcp":
+        return GammaServer(("tcp", "127.0.0.1", 0))
+    return tls_server(certs)
+
+
+def client_address(kind, server):
+    if kind == "tls":
+        return ("tls",) + server.address[1:]
+    return server.address
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("kind", ("unix", "tcp", "tls"))
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_FRAMES))
+    def test_malformed_frame_is_counted_and_dropped(
+        self, shape, kind, certs, tmp_path, monkeypatch
+    ):
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        relation = ModuleRelation.random(
+            "MF", n_inputs=2, n_outputs=1, domain_size=3, seed=21
+        )
+        baseline = ShardCoordinator(0).gammas(entry_requests(relation))
+        wire = MALFORMED_FRAMES[shape]
+        frame = raw_pickle_frame(
+            b"\x80\x05junk" if wire is None else pickle.dumps(wire)
+        )
+        tls = kind == "tls"
+        with malformed_server(kind, certs, tmp_path) as server:
+            sock = connect(
+                client_address(kind, server),
+                ssl_context=build_client_ssl_context(certs[0]) if tls else None,
+                auth_token=TOKEN if tls else None,
+            )
+            try:
+                sock.sendall(frame)
+                # The server answers by dropping the connection.
+                assert sock.recv(1) == b""
+            finally:
+                sock.close()
+            deadline = time.monotonic() + 5.0
+            while server.stats()["server_errors"] < 1:
+                assert time.monotonic() < deadline, "bad frame not counted"
+                time.sleep(0.01)
+            with ShardCoordinator(
+                address=client_address(kind, server),
+                tls_ca=str(certs[0]) if tls else None,
+                auth_token=TOKEN if tls else None,
+            ) as client:
+                assert client.gammas(entry_requests(relation)) == baseline
+        assert thread_errors == []
 
 
 # ---------------------------------------------------------------------- #

@@ -47,6 +47,38 @@ from repro.service.protocol import (
     write_frame,
 )
 
+#: A well-formed report wire form, for completions that are malformed
+#: elsewhere.
+REPORT_WIRE = [0, 4, 1, {}, 0, False, 0.0, 0, 0.0, 0, 0, ""]
+
+
+#: One wrong-arity wire form per message kind (batch requests and
+#: completions, and the tasks and results inside them, included).
+WRONG_ARITY = {
+    "batch_request_4_fields": ["batch", [1, 0, 0, []]],
+    "batch_3": ["batch", 0, 4],
+    "batch_6": ["batch", 0, 4, [], REPORT_WIRE, "extra"],
+    "task_4_fields": ["batch", [1, 0, 0, [[1, "sig", [0], [0]]], {}]],
+    "task_6_fields": ["batch", [1, 0, 0, [[1, "sig", [0], [0], "gamma", 1]], {}]],
+    "result_4_fields": ["batch", 0, 4, [[4, "sig", 2, None]], REPORT_WIRE],
+    "result_6_fields": [
+        "batch", 0, 4, [[4, "sig", 2, None, None, [1, 2]]], REPORT_WIRE
+    ],
+    "error_3": ["error", 0, 4],
+    "need_2": ["need", 12],
+    "stats_3": ["stats", {}, 1],
+    "stop_2": ["stop", 1],
+    "stopped_1": ["stopped"],
+    "ping_2": ["ping", 1],
+    "pong_1": ["pong"],
+    "export_1": ["export"],
+    "exported_3": ["exported", {}, 1],
+    "import_1": ["import"],
+    "imported_3": ["imported", 1, 2],
+    "overload_3": ["overload", 0, 4],
+}
+
+
 @pytest.fixture(scope="module")
 def unix_server(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("gamma") / "gamma.sock")
@@ -91,6 +123,32 @@ class TestWireForms:
     def test_need_message_round_trip(self):
         message = (MSG_NEED, 12, ("aa", "bb"))
         assert message_from_wire(message_to_wire(message)) == message
+
+    def test_every_message_kind_round_trips_at_its_arity(self):
+        messages = [
+            ("error", 0, 4, "trace"),
+            ("stats",),
+            ("stats", {"kernels": 1}),
+            ("stop",),
+            ("stopped", 0),
+            ("ping",),
+            ("pong", 0),
+            ("export", ("aa", "bb")),
+            ("imported", 3),
+            ("overload", 0, 4, 12.5),
+        ]
+        for message in messages:
+            assert message_from_wire(message_to_wire(message)) == message
+
+    @pytest.mark.parametrize("name", sorted(WRONG_ARITY))
+    def test_wrong_arity_raises_service_error(self, name):
+        with pytest.raises(ServiceError, match="malformed"):
+            message_from_wire(WRONG_ARITY[name])
+
+    @pytest.mark.parametrize("wire", [[], 7, "batch", {"batch": 1}])
+    def test_non_list_message_raises_service_error(self, wire):
+        with pytest.raises(ServiceError, match="malformed"):
+            message_from_wire(wire)
 
     def test_frames_over_socketpair(self):
         structure = ModuleRelation.random("P", seed=9).structure_signature

@@ -94,6 +94,16 @@ CRASHABLE_KINDS = tuple(kind for kind in ALL_KINDS if kind != "inprocess")
 SEARCH_SEEDS = (70, 72, 100, 110)
 
 
+#: The deterministic work counters every transport must move identically.
+WORK_COUNTERS = (
+    "partition_hits",
+    "partition_refinements",
+    "grouping_passes",
+    "entry_fused_passes",
+    "kernel_hits",
+)
+
+
 def assert_search_equivalent(candidate, baseline):
     assert candidate.hidden_labels == baseline.hidden_labels
     assert candidate.cost == baseline.cost
@@ -266,6 +276,42 @@ class TestConformanceMatrix:
         distinct = {request[1:] for request in seen}
         assert tasks == len(distinct)
         assert len(seen) > len(distinct), "the memo absorbed no repeat"
+
+
+    def test_conformance_work_counters_match_oracle(self, harness):
+        """On a structure the transport has not seen, every work counter
+        moves exactly as much as the in-process oracle's."""
+        client = harness.client
+        shards = client.transport.shard_count
+        fresh = ModuleRelation.random(
+            "C", n_inputs=3, n_outputs=3, domain_size=2, seed=90
+        )
+        shard = shard_of(fresh.structure_signature.signature, shards)
+        # Remote counters arrive with each shard's latest report, so make
+        # sure the fresh structure's shard has reported before measuring.
+        primer = next(
+            relation
+            for relation in (
+                ModuleRelation.random(
+                    "C", n_inputs=3, n_outputs=3, domain_size=2, seed=seed
+                )
+                for seed in range(91, 200)
+            )
+            if shard_of(relation.structure_signature.signature, shards) == shard
+        )
+        client.gammas(entry_requests(primer)[:1])
+        oracle = ShardCoordinator(0)
+        deltas = []
+        for coordinator in (oracle, client):
+            before = coordinator.kernel_stats()
+            coordinator.evaluate(entry_requests(fresh), want="entry")
+            coordinator.gammas(entry_requests(fresh)[::2])
+            after = coordinator.kernel_stats()
+            deltas.append(
+                {key: after[key] - before.get(key, 0) for key in WORK_COUNTERS}
+            )
+        assert deltas[1] == deltas[0]
+        assert deltas[0]["kernel_hits"] > 0
 
 
 class TestConformanceMemo:
